@@ -602,11 +602,12 @@ BENCHMARK(BM_PullKernelDaryHeap)->Arg(10000)->Arg(100000)->Arg(1000000)
 
 // The interval-walking kernels in isolation (prebuilt state + timeline,
 // no availability realization or task sampling in the timed region).
-// Mode 0/1/2 is the gate ablation the churn perf PR ships — the default
-// envelope gate with float32-packed columns, the envelope gate over
-// double columns, and the PR-4-style global bucket gate — mode 3 the
-// full-walk scalar oracle. All four produce bit-identical schedules; the
-// exported counters are deterministic kernel-shape telemetry
+// Mode 0 is the shipping kernel (float32 envelope gate, kAuto backend —
+// the widest SIMD arm the CPU offers), mode 3 the full-walk scalar
+// oracle, mode 4 the same gate through the blocked (autovectorized) arm.
+// Modes 1 and 2 were gate ablations that no longer exist; their numbers
+// are retired, not reused. All modes produce bit-identical schedules;
+// the exported counters are deterministic kernel-shape telemetry
 // (tools/compare_bench.py diffs them machine-independently in CI).
 void BM_ChurnKernel(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
@@ -617,24 +618,14 @@ void BM_ChurnKernel(benchmark::State& state) {
       synth::AvailabilityModel{}, n, 0.0, 100.0, tl_rng);
   const int mode = static_cast<int>(state.range(1));
   churn::ChurnSchedulerConfig config;
-  bool reference = false;
-  switch (mode) {
-    case 0:
-      state.SetLabel("envelope-f32");
-      break;
-    case 1:
-      config.float32_columns = false;
-      state.SetLabel("envelope-f64");
-      break;
-    case 2:
-      config.gate_mode = churn::GateMode::kBucket;
-      config.float32_columns = false;
-      state.SetLabel("bucket-f64");
-      break;
-    default:
-      reference = true;
-      state.SetLabel("reference");
-      break;
+  const bool reference = mode == 3;
+  if (reference) {
+    state.SetLabel("reference");
+  } else if (mode == 4) {
+    config.backend = backend::Backend::kBlocked;
+    state.SetLabel("envelope-f32-blocked");
+  } else {
+    state.SetLabel("envelope-f32");
   }
   churn::ChurnScheduleTotals totals;
   for (auto _ : state) {
@@ -655,8 +646,8 @@ void BM_ChurnKernel(benchmark::State& state) {
       static_cast<double>(totals.resolved_lanes) * per_task;
 }
 BENCHMARK(BM_ChurnKernel)
-    ->Args({10000, 0})->Args({10000, 1})->Args({10000, 2})->Args({10000, 3})
-    ->Args({100000, 0})->Args({100000, 1})->Args({100000, 2})
+    ->Args({10000, 0})->Args({10000, 3})->Args({10000, 4})
+    ->Args({100000, 0})->Args({100000, 4})
     ->Unit(benchmark::kMillisecond);
 
 // --- Backend-arm pairs (src/backend/): blocked autovectorized kernels
@@ -701,61 +692,6 @@ void BM_EctKernelBackend(benchmark::State& state) {
 }
 BENCHMARK(BM_EctKernelBackend)
     ->Args({10000, 0})->Args({10000, 1})
-    ->Args({100000, 0})->Args({100000, 1})
-    ->Unit(benchmark::kMillisecond);
-
-// The churn gate sweep per arm (envelope gate, float32 columns — the
-// default configuration BM_ChurnKernel measures across gate modes). Same
-// >= 1.4x acceptance at 100k/100k, with identical swept_blocks_per_task /
-// resolved_lanes_per_task / makespan_days counters across arms.
-void BM_ChurnKernelBackend(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const std::vector<double> rates = pull_bench_rates(n);
-  const std::vector<double> tasks = pull_bench_tasks(n);
-  util::Rng tl_rng(17);
-  const churn::IntervalTimeline timeline = churn::IntervalTimeline::generate(
-      synth::AvailabilityModel{}, n, 0.0, 100.0, tl_rng);
-  churn::ChurnSchedulerConfig config;
-  config.backend = bench_backend(state, static_cast<int>(state.range(1)));
-  churn::ChurnScheduleTotals totals;
-  for (auto _ : state) {
-    sim::ScheduleState sched = sim::ScheduleState::from_rates(rates);
-    churn::ChurnScheduler scheduler(sched, timeline, config);
-    totals = scheduler.run(tasks, churn::InterruptionPolicy::kCheckpoint);
-    benchmark::DoNotOptimize(totals);
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-  const double per_task = 1.0 / static_cast<double>(tasks.size());
-  state.counters["makespan_days"] = totals.makespan_days;
-  state.counters["swept_blocks_per_task"] =
-      static_cast<double>(totals.swept_blocks) * per_task;
-  state.counters["resolved_lanes_per_task"] =
-      static_cast<double>(totals.resolved_lanes) * per_task;
-}
-BENCHMARK(BM_ChurnKernelBackend)
-    ->Args({10000, 0})->Args({10000, 1})
-    ->Args({100000, 0})->Args({100000, 1})
-    ->Unit(benchmark::kMillisecond);
-
-// The allocator's fused score+pack sweep per arm (the sort and selection
-// phases are shared code, so the arm delta is diluted by design — this
-// measures the end-to-end effect a caller sees).
-void BM_RoundRobinAllocationBackend(benchmark::State& state) {
-  const core::HostGenerator generator(core::paper_params());
-  util::Rng rng(8);
-  const sim::HostResourcesSoA hosts =
-      sim::HostResourcesSoA::from_batch(generator.generate_batch(
-          util::ModelDate::from_ymd(2010, 1, 1),
-          static_cast<std::size_t>(state.range(0)), rng));
-  const backend::Backend arm =
-      bench_backend(state, static_cast<int>(state.range(1)));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(sim::allocate_round_robin(
-        sim::paper_applications(), hosts, /*threads=*/0, arm));
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_RoundRobinAllocationBackend)
     ->Args({100000, 0})->Args({100000, 1})
     ->Unit(benchmark::kMillisecond);
 

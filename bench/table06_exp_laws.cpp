@@ -49,11 +49,16 @@ int main() {
                      "b 95% CI", "b (paper)", "r (measured)", "r (paper)"});
   for (const Row& row : rows) {
     const stats::BootstrapInterval ci = b_interval(*row.series);
+    // Appended piecewise: GCC 12 reports a false -Wrestrict on
+    // operator+(const char*, string&&).
+    std::string ci_text("[");
+    ci_text += util::Table::num(ci.lo, 3);
+    ci_text += ", ";
+    ci_text += util::Table::num(ci.hi, 3);
+    ci_text += "]";
     table.add_row({row.name, util::Table::sci(row.series->law.a, 3),
                    util::Table::sci(row.a, 3),
-                   util::Table::num(row.series->law.b, 4),
-                   "[" + util::Table::num(ci.lo, 3) + ", " +
-                       util::Table::num(ci.hi, 3) + "]",
+                   util::Table::num(row.series->law.b, 4), ci_text,
                    util::Table::num(row.b, 4),
                    util::Table::num(row.series->law.r, 4),
                    util::Table::num(row.r, 4)});

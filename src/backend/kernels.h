@@ -1,5 +1,5 @@
 // The kernel-dispatch table behind backend::Backend — one function-
-// pointer struct per SIMD level, each implementing the same five hot
+// pointer struct per SIMD level, each implementing the same four hot
 // primitives over the columnar layouts the sim/ and churn/ kernels
 // already maintain:
 //
@@ -13,15 +13,14 @@
 //                       over * bmin_inv[b] for every block, returning
 //                       the FIRST index attaining the row minimum (the
 //                       warm-start block).
-//   gate_sweep_f32/64 — churn::BoundGate::eval_block over one padded
-//                       64-lane block (checkpoint level routing or the
-//                       restart two-piece bound).
-//   score_pack        — the allocator's fused 5-column score sweep plus
-//                       the descending_key radix-key pack.
+//   gate_sweep        — churn::BoundGate's per-block sweep over one
+//                       padded 64-lane block of float32 columns
+//                       (checkpoint level routing or the restart
+//                       two-piece bound).
 //
 // EXACTNESS RULES (what makes every arm bit-identical):
 //  - No fused multiply-add, ever: a * b + c is two roundings in every
-//    arm (the blocked TU compiles -ffp-contract=off, the SIMD TUs use
+//    arm (the library compiles -ffp-contract=off, the SIMD TUs use
 //    _mm*_mul + _mm*_add — never fmadd).
 //  - Each lane's value is the same expression tree in the same order;
 //    lanes never interact except through min, and IEEE min over
@@ -33,13 +32,12 @@
 //
 // Tail handling: ect_block_sweep / column_min / row_bounds_argmin take
 // arbitrary lengths (the SIMD arms run a scalar epilogue); the gate
-// sweeps are fixed 64-lane blocks whose tail lanes the gate pads inert
-// (inv = 0, sess/ready/next = +inf), so they have no tail path at all.
+// sweep is a fixed 64-lane block whose tail lanes the gate pads inert
+// (inv = 0, sess/ready/next = +inf), so it has no tail path at all.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
 
 #include "backend/backend.h"
 
@@ -61,40 +59,21 @@ struct EctBlockMin {
   std::uint32_t index = 0;
 };
 
-/// Read-only view of one 64-lane block of a BoundGate's packed columns
-/// (pointers pre-offset to the block base; all lanes valid — the gate
-/// pads its tails). `levels` of the c/phi arrays are populated;
+/// Read-only view of one 64-lane block of a BoundGate's packed float32
+/// columns (pointers pre-offset to the block base; all lanes valid — the
+/// gate pads its tails). `levels` of the c/phi arrays are populated;
 /// `checkpoint` selects the level-routing bound, else the restart bound.
-template <typename Real>
 struct GateBlockView {
-  const Real* inv = nullptr;
-  const Real* sess = nullptr;
-  const Real* ready = nullptr;
-  const Real* next = nullptr;
-  const Real* accr = nullptr;
-  const Real* c[kGateMaxLevels] = {};
-  const Real* phi[kGateMaxLevels] = {};
+  const float* inv = nullptr;
+  const float* sess = nullptr;
+  const float* ready = nullptr;
+  const float* next = nullptr;
+  const float* accr = nullptr;
+  const float* c[kGateMaxLevels] = {};
+  const float* phi[kGateMaxLevels] = {};
   std::size_t levels = 0;
   bool checkpoint = true;
 };
-
-/// Cobb-Douglas exponents in column order (cores, memory, dhrystone,
-/// whetstone, disk) — the allocator's score weights.
-struct ScoreWeights {
-  double w[5] = {};
-};
-
-/// Maps a score to a 32-bit key whose *ascending* unsigned order is the
-/// *descending* float(score) order (sign-flip transform, complemented;
-/// -0.0 normalized onto +0.0 first). Shared by every arm — the SIMD
-/// score_pack implementations must match this bit for bit.
-inline std::uint32_t descending_key(double score) noexcept {
-  const float narrowed = static_cast<float>(score + 0.0);
-  std::uint32_t bits;
-  std::memcpy(&bits, &narrowed, sizeof(bits));
-  bits = (bits & 0x80000000u) ? ~bits : (bits | 0x80000000u);
-  return ~bits;
-}
 
 /// One dispatch arm. All pointers non-null; implementations are
 /// stateless and thread-compatible (pure functions over their inputs).
@@ -113,24 +92,16 @@ struct KernelOps {
   std::uint32_t (*row_bounds_argmin)(const double* row,
                                      const double* bmin_inv, double over,
                                      std::size_t n, double* bounds);
-  /// BoundGate::eval_block over one padded 64-lane block; writes
+  /// BoundGate's sweep over one padded 64-lane block; writes
   /// kKernelBlock lower bounds (pad lanes produce +inf).
-  void (*gate_sweep_f32)(const GateBlockView<float>& view, float task,
-                         float* lb);
-  void (*gate_sweep_f64)(const GateBlockView<double>& view, double task,
-                         double* lb);
-  /// score[h] = sum_k w[k] * col_k[h] (left-to-right association);
-  /// pref[h] = (descending_key(score[h]) << 32) | h.
-  void (*score_pack)(const double* log_c, const double* log_m,
-                     const double* log_i, const double* log_f,
-                     const double* log_d, const ScoreWeights& weights,
-                     std::size_t n, double* score, std::uint64_t* pref);
+  void (*gate_sweep)(const GateBlockView& view, float task, float* lb);
 };
 
 /// The dispatch table for a resolved SIMD level. kNone returns the
 /// blocked (autovectorized baseline) arm; kAvx2/kAvx512 return the
 /// intrinsic arms — only call those on hardware resolve() selected
-/// them for.
+/// them for. The kAvx512 table reuses the AVX2 gate sweep (see
+/// src/backend/README.md for the measurement behind that).
 const KernelOps& kernel_ops(SimdLevel level) noexcept;
 
 }  // namespace resmodel::backend

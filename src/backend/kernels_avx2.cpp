@@ -1,9 +1,10 @@
 // The AVX2 arm: 4-wide double / 8-wide float intrinsic versions of the
 // dispatch kernels, using blends where the AVX-512 arm uses mask
-// registers. Compiled with -mavx2 (plus -ffp-contract=off;
-// src/CMakeLists.txt) and only called when resolve() selected it — see
-// kernels_avx512.cpp for the shared bit-identity notes (mul/add only,
-// never fmadd; exact lane-wise min; sentinel-blended index tie-breaks).
+// registers. Compiled with -mavx2 (plus the library-wide
+// -ffp-contract=off; src/CMakeLists.txt) and only called when resolve()
+// selected it — see kernels_avx512.cpp for the shared bit-identity notes
+// (mul/add only, never fmadd; exact lane-wise min; sentinel-blended index
+// tie-breaks). Its gate sweep also serves the AVX-512 table.
 #include "backend/kernels_internal.h"
 
 #if defined(__AVX2__)
@@ -15,6 +16,47 @@
 #include <limits>
 
 namespace resmodel::backend {
+
+namespace detail {
+
+void gate_sweep_avx2(const GateBlockView& v, float t, float* lb) {
+  const __m256 vt = _mm256_set1_ps(t);
+  const __m256 vinf =
+      _mm256_set1_ps(std::numeric_limits<float>::infinity());
+  const std::size_t L = v.levels;
+  if (v.checkpoint) {
+    for (std::size_t j = 0; j < kKernelBlock; j += 8) {
+      const __m256 w = _mm256_mul_ps(vt, _mm256_loadu_ps(v.inv + j));
+      const __m256 target =
+          _mm256_add_ps(_mm256_loadu_ps(v.accr + j), w);
+      __m256 spill =
+          _mm256_add_ps(target, _mm256_loadu_ps(v.phi[L - 1] + j));
+      for (std::size_t k = L - 1; k-- > 0;) {
+        const __m256 ck = _mm256_loadu_ps(v.c[k] + j);
+        const __m256 pk = _mm256_loadu_ps(v.phi[k] + j);
+        const __m256 val = _mm256_add_ps(target, pk);
+        const __m256 le = _mm256_cmp_ps(target, ck, _CMP_LE_OQ);
+        spill = _mm256_min_ps(spill, _mm256_blendv_ps(vinf, val, le));
+      }
+      const __m256 fits = _mm256_add_ps(_mm256_loadu_ps(v.ready + j), w);
+      const __m256 fm =
+          _mm256_cmp_ps(w, _mm256_loadu_ps(v.sess + j), _CMP_LE_OQ);
+      _mm256_storeu_ps(lb + j, _mm256_blendv_ps(spill, fits, fm));
+    }
+  } else {
+    for (std::size_t j = 0; j < kKernelBlock; j += 8) {
+      const __m256 w = _mm256_mul_ps(vt, _mm256_loadu_ps(v.inv + j));
+      const __m256 rw = _mm256_add_ps(_mm256_loadu_ps(v.ready + j), w);
+      const __m256 nw = _mm256_add_ps(_mm256_loadu_ps(v.next + j), w);
+      const __m256 fm =
+          _mm256_cmp_ps(w, _mm256_loadu_ps(v.sess + j), _CMP_LE_OQ);
+      const __m256 fits = _mm256_blendv_ps(vinf, rw, fm);
+      _mm256_storeu_ps(lb + j, _mm256_min_ps(fits, nw));
+    }
+  }
+}
+
+}  // namespace detail
 
 namespace {
 
@@ -108,126 +150,11 @@ std::uint32_t row_bounds_argmin_avx2(const double* row,
   return 0;  // unreachable: tightest was read from bounds
 }
 
-void gate_sweep_f32_avx2(const GateBlockView<float>& v, float t, float* lb) {
-  const __m256 vt = _mm256_set1_ps(t);
-  const __m256 vinf =
-      _mm256_set1_ps(std::numeric_limits<float>::infinity());
-  const std::size_t L = v.levels;
-  if (v.checkpoint) {
-    for (std::size_t j = 0; j < kKernelBlock; j += 8) {
-      const __m256 w = _mm256_mul_ps(vt, _mm256_loadu_ps(v.inv + j));
-      const __m256 target =
-          _mm256_add_ps(_mm256_loadu_ps(v.accr + j), w);
-      __m256 spill =
-          _mm256_add_ps(target, _mm256_loadu_ps(v.phi[L - 1] + j));
-      for (std::size_t k = L - 1; k-- > 0;) {
-        const __m256 ck = _mm256_loadu_ps(v.c[k] + j);
-        const __m256 pk = _mm256_loadu_ps(v.phi[k] + j);
-        const __m256 val = _mm256_add_ps(target, pk);
-        const __m256 le = _mm256_cmp_ps(target, ck, _CMP_LE_OQ);
-        spill = _mm256_min_ps(spill, _mm256_blendv_ps(vinf, val, le));
-      }
-      const __m256 fits = _mm256_add_ps(_mm256_loadu_ps(v.ready + j), w);
-      const __m256 fm =
-          _mm256_cmp_ps(w, _mm256_loadu_ps(v.sess + j), _CMP_LE_OQ);
-      _mm256_storeu_ps(lb + j, _mm256_blendv_ps(spill, fits, fm));
-    }
-  } else {
-    for (std::size_t j = 0; j < kKernelBlock; j += 8) {
-      const __m256 w = _mm256_mul_ps(vt, _mm256_loadu_ps(v.inv + j));
-      const __m256 rw = _mm256_add_ps(_mm256_loadu_ps(v.ready + j), w);
-      const __m256 nw = _mm256_add_ps(_mm256_loadu_ps(v.next + j), w);
-      const __m256 fm =
-          _mm256_cmp_ps(w, _mm256_loadu_ps(v.sess + j), _CMP_LE_OQ);
-      const __m256 fits = _mm256_blendv_ps(vinf, rw, fm);
-      _mm256_storeu_ps(lb + j, _mm256_min_ps(fits, nw));
-    }
-  }
-}
-
-void gate_sweep_f64_avx2(const GateBlockView<double>& v, double t,
-                         double* lb) {
-  const __m256d vt = _mm256_set1_pd(t);
-  const __m256d vinf =
-      _mm256_set1_pd(std::numeric_limits<double>::infinity());
-  const std::size_t L = v.levels;
-  if (v.checkpoint) {
-    for (std::size_t j = 0; j < kKernelBlock; j += 4) {
-      const __m256d w = _mm256_mul_pd(vt, _mm256_loadu_pd(v.inv + j));
-      const __m256d target =
-          _mm256_add_pd(_mm256_loadu_pd(v.accr + j), w);
-      __m256d spill =
-          _mm256_add_pd(target, _mm256_loadu_pd(v.phi[L - 1] + j));
-      for (std::size_t k = L - 1; k-- > 0;) {
-        const __m256d ck = _mm256_loadu_pd(v.c[k] + j);
-        const __m256d pk = _mm256_loadu_pd(v.phi[k] + j);
-        const __m256d val = _mm256_add_pd(target, pk);
-        const __m256d le = _mm256_cmp_pd(target, ck, _CMP_LE_OQ);
-        spill = _mm256_min_pd(spill, _mm256_blendv_pd(vinf, val, le));
-      }
-      const __m256d fits = _mm256_add_pd(_mm256_loadu_pd(v.ready + j), w);
-      const __m256d fm =
-          _mm256_cmp_pd(w, _mm256_loadu_pd(v.sess + j), _CMP_LE_OQ);
-      _mm256_storeu_pd(lb + j, _mm256_blendv_pd(spill, fits, fm));
-    }
-  } else {
-    for (std::size_t j = 0; j < kKernelBlock; j += 4) {
-      const __m256d w = _mm256_mul_pd(vt, _mm256_loadu_pd(v.inv + j));
-      const __m256d rw = _mm256_add_pd(_mm256_loadu_pd(v.ready + j), w);
-      const __m256d nw = _mm256_add_pd(_mm256_loadu_pd(v.next + j), w);
-      const __m256d fm =
-          _mm256_cmp_pd(w, _mm256_loadu_pd(v.sess + j), _CMP_LE_OQ);
-      const __m256d fits = _mm256_blendv_pd(vinf, rw, fm);
-      _mm256_storeu_pd(lb + j, _mm256_min_pd(fits, nw));
-    }
-  }
-}
-
-void score_pack_avx2(const double* log_c, const double* log_m,
-                     const double* log_i, const double* log_f,
-                     const double* log_d, const ScoreWeights& weights,
-                     std::size_t n, double* score, std::uint64_t* pref) {
-  const __m256d w0 = _mm256_set1_pd(weights.w[0]);
-  const __m256d w1 = _mm256_set1_pd(weights.w[1]);
-  const __m256d w2 = _mm256_set1_pd(weights.w[2]);
-  const __m256d w3 = _mm256_set1_pd(weights.w[3]);
-  const __m256d w4 = _mm256_set1_pd(weights.w[4]);
-  const __m256d zero = _mm256_setzero_pd();
-  const __m128i ones = _mm_set1_epi32(-1);
-  const __m128i mant = _mm_set1_epi32(0x7FFFFFFF);
-  const __m256i iota = _mm256_set_epi64x(3, 2, 1, 0);
-  std::size_t h = 0;
-  for (; h + 4 <= n; h += 4) {
-    __m256d s = _mm256_mul_pd(w0, _mm256_loadu_pd(log_c + h));
-    s = _mm256_add_pd(s, _mm256_mul_pd(w1, _mm256_loadu_pd(log_m + h)));
-    s = _mm256_add_pd(s, _mm256_mul_pd(w2, _mm256_loadu_pd(log_i + h)));
-    s = _mm256_add_pd(s, _mm256_mul_pd(w3, _mm256_loadu_pd(log_f + h)));
-    s = _mm256_add_pd(s, _mm256_mul_pd(w4, _mm256_loadu_pd(log_d + h)));
-    _mm256_storeu_pd(score + h, s);
-    const __m128 f = _mm256_cvtpd_ps(_mm256_add_pd(s, zero));
-    const __m128i bits = _mm_castps_si128(f);
-    const __m128i sign = _mm_srai_epi32(bits, 31);
-    const __m128i pos = _mm_and_si128(_mm_xor_si128(bits, ones), mant);
-    const __m128i key = _mm_blendv_epi8(pos, bits, sign);
-    const __m256i entry = _mm256_or_si256(
-        _mm256_slli_epi64(_mm256_cvtepu32_epi64(key), 32),
-        _mm256_add_epi64(_mm256_set1_epi64x(static_cast<long long>(h)),
-                         iota));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(pref + h), entry);
-  }
-  for (; h < n; ++h) {
-    const double s = weights.w[0] * log_c[h] + weights.w[1] * log_m[h] +
-                     weights.w[2] * log_i[h] + weights.w[3] * log_f[h] +
-                     weights.w[4] * log_d[h];
-    score[h] = s;
-    pref[h] = (static_cast<std::uint64_t>(descending_key(s)) << 32) |
-              static_cast<std::uint64_t>(h);
-  }
-}
-
 constexpr KernelOps kAvx2Ops = {
-    &ect_block_sweep_avx2, &column_min_avx2, &row_bounds_argmin_avx2,
-    &gate_sweep_f32_avx2, &gate_sweep_f64_avx2, &score_pack_avx2,
+    &ect_block_sweep_avx2,
+    &column_min_avx2,
+    &row_bounds_argmin_avx2,
+    &detail::gate_sweep_avx2,
 };
 
 }  // namespace

@@ -1,6 +1,8 @@
-// The AVX-512 arm: 8-wide double / 16-wide float intrinsic versions of
-// the dispatch kernels. Compiled with -mavx512f -mavx512dq -mavx512bw
-// -mavx512vl (plus the baseline -ffp-contract=off; src/CMakeLists.txt)
+// The AVX-512 arm: 8-wide double intrinsic versions of the ECT sweep,
+// column min and row-bounds argmin. Its gate sweep is the AVX2 one: a
+// 16-wide float gate did not clear the 1.1x keep rule over it
+// (src/backend/README.md). Compiled with -mavx512f -mavx512dq -mavx512bw
+// -mavx512vl (plus the library-wide -ffp-contract=off; src/CMakeLists.txt)
 // and only ever CALLED when resolve() saw those CPUID bits — nothing in
 // this TU runs at static initialization, so linking it into a baseline
 // binary is safe.
@@ -11,8 +13,8 @@
 //    scalar and blocked arms;
 //  - min/compare/select are exact lane-wise operations, and the data is
 //    NaN-free (all inputs finite or +inf with no inf-minus-inf chains),
-//    so _mm512_min_* == std::min lane for lane and the horizontal
-//    _mm512_reduce_min_* matches any sequential min order;
+//    so the lane-wise min == std::min lane for lane and the horizontal
+//    reduction matches any sequential min order;
 //  - the smallest-original-index tie-break masks the order column with
 //    a UINT32_MAX sentinel (_mm256_mask_mov_epi32 — a blend, NOT a
 //    maskz load: 0 is a valid host index) and min-reduces unsigned, so
@@ -33,6 +35,25 @@ namespace resmodel::backend {
 namespace {
 
 constexpr std::uint32_t kNoIndex = std::numeric_limits<std::uint32_t>::max();
+
+// GCC 12's unmasked _mm512_min_pd and _mm512_extractf64x4_pd (and with
+// them _mm512_reduce_min_pd) merge into _mm512_undefined_pd(), which
+// -Wmaybe-uninitialized misreports once inlined. The all-lanes masked
+// forms below are the same instructions with a defined merge source.
+inline __m512d min_pd(__m512d a, __m512d b) noexcept {
+  return _mm512_mask_min_pd(a, 0xFF, a, b);
+}
+
+inline double reduce_min_pd(__m512d v) noexcept {
+  const __m256d zero = _mm256_setzero_pd();
+  const __m256d m4 =
+      _mm256_min_pd(_mm512_mask_extractf64x4_pd(zero, 0xF, v, 0),
+                    _mm512_mask_extractf64x4_pd(zero, 0xF, v, 1));
+  __m128d m = _mm_min_pd(_mm256_castpd256_pd128(m4),
+                         _mm256_extractf128_pd(m4, 1));
+  m = _mm_min_sd(m, _mm_unpackhi_pd(m, m));
+  return _mm_cvtsd_f64(m);
+}
 
 inline std::uint32_t reduce_min_epu32(__m256i v) noexcept {
   __m128i m = _mm_min_epu32(_mm256_castsi256_si128(v),
@@ -59,9 +80,9 @@ EctBlockMin ect_block_sweep_avx512(const double* vals, const double* inv,
     const __m512d f = _mm512_loadu_pd(vals + j * 8);
     const __m512d iv = _mm512_loadu_pd(inv + j * 8);
     done[j] = _mm512_add_pd(f, _mm512_mul_pd(vt, iv));
-    vm = _mm512_min_pd(vm, done[j]);
+    vm = min_pd(vm, done[j]);
   }
-  const double m = _mm512_reduce_min_pd(vm);
+  const double m = reduce_min_pd(vm);
   if (m > best_done) return {m, kNoIndex};
   const __m512d vmin = _mm512_set1_pd(m);
   const __m256i sentinel = _mm256_set1_epi32(-1);  // kNoIndex
@@ -81,9 +102,9 @@ double column_min_avx512(const double* x, std::size_t len) {
   if (len >= 8) {
     __m512d vm = _mm512_loadu_pd(x);
     for (i = 8; i + 8 <= len; i += 8) {
-      vm = _mm512_min_pd(vm, _mm512_loadu_pd(x + i));
+      vm = min_pd(vm, _mm512_loadu_pd(x + i));
     }
-    m = _mm512_reduce_min_pd(vm);
+    m = reduce_min_pd(vm);
   } else {
     m = x[0];
     i = 1;
@@ -103,9 +124,9 @@ std::uint32_t row_bounds_argmin_avx512(const double* row,
         _mm512_loadu_pd(row + i),
         _mm512_mul_pd(vo, _mm512_loadu_pd(bmin_inv + i)));
     _mm512_storeu_pd(bounds + i, b);
-    vm = _mm512_min_pd(vm, b);
+    vm = min_pd(vm, b);
   }
-  double tightest = _mm512_reduce_min_pd(vm);
+  double tightest = reduce_min_pd(vm);
   for (; i < n; ++i) {
     const double b = row[i] + over * bmin_inv[i];
     bounds[i] = b;
@@ -129,136 +150,11 @@ std::uint32_t row_bounds_argmin_avx512(const double* row,
   return 0;  // unreachable: tightest was read from bounds
 }
 
-void gate_sweep_f32_avx512(const GateBlockView<float>& v, float t,
-                           float* lb) {
-  const __m512 vt = _mm512_set1_ps(t);
-  const std::size_t L = v.levels;
-  if (v.checkpoint) {
-    for (std::size_t j = 0; j < 4; ++j) {
-      const std::size_t o = j * 16;
-      const __m512 w = _mm512_mul_ps(vt, _mm512_loadu_ps(v.inv + o));
-      const __m512 target =
-          _mm512_add_ps(_mm512_loadu_ps(v.accr + o), w);
-      __m512 spill =
-          _mm512_add_ps(target, _mm512_loadu_ps(v.phi[L - 1] + o));
-      for (std::size_t k = L - 1; k-- > 0;) {
-        const __m512 ck = _mm512_loadu_ps(v.c[k] + o);
-        const __m512 pk = _mm512_loadu_ps(v.phi[k] + o);
-        const __m512 val = _mm512_add_ps(target, pk);
-        // spill = min(spill, tg <= ck ? tg + pk : +inf), folded into a
-        // masked min (min(spill, +inf) == spill on the false lanes).
-        const __mmask16 le = _mm512_cmp_ps_mask(target, ck, _CMP_LE_OQ);
-        spill = _mm512_mask_min_ps(spill, le, spill, val);
-      }
-      const __m512 fits = _mm512_add_ps(_mm512_loadu_ps(v.ready + o), w);
-      const __mmask16 fm =
-          _mm512_cmp_ps_mask(w, _mm512_loadu_ps(v.sess + o), _CMP_LE_OQ);
-      _mm512_storeu_ps(lb + o, _mm512_mask_blend_ps(fm, spill, fits));
-    }
-  } else {
-    for (std::size_t j = 0; j < 4; ++j) {
-      const std::size_t o = j * 16;
-      const __m512 w = _mm512_mul_ps(vt, _mm512_loadu_ps(v.inv + o));
-      const __m512 rw = _mm512_add_ps(_mm512_loadu_ps(v.ready + o), w);
-      const __m512 nw = _mm512_add_ps(_mm512_loadu_ps(v.next + o), w);
-      // lb = min(w <= sess ? ready + w : +inf, next + w), folded the
-      // same way.
-      const __mmask16 fm =
-          _mm512_cmp_ps_mask(w, _mm512_loadu_ps(v.sess + o), _CMP_LE_OQ);
-      _mm512_storeu_ps(lb + o, _mm512_mask_min_ps(nw, fm, nw, rw));
-    }
-  }
-}
-
-void gate_sweep_f64_avx512(const GateBlockView<double>& v, double t,
-                           double* lb) {
-  const __m512d vt = _mm512_set1_pd(t);
-  const std::size_t L = v.levels;
-  if (v.checkpoint) {
-    for (std::size_t j = 0; j < 8; ++j) {
-      const std::size_t o = j * 8;
-      const __m512d w = _mm512_mul_pd(vt, _mm512_loadu_pd(v.inv + o));
-      const __m512d target =
-          _mm512_add_pd(_mm512_loadu_pd(v.accr + o), w);
-      __m512d spill =
-          _mm512_add_pd(target, _mm512_loadu_pd(v.phi[L - 1] + o));
-      for (std::size_t k = L - 1; k-- > 0;) {
-        const __m512d ck = _mm512_loadu_pd(v.c[k] + o);
-        const __m512d pk = _mm512_loadu_pd(v.phi[k] + o);
-        const __m512d val = _mm512_add_pd(target, pk);
-        const __mmask8 le = _mm512_cmp_pd_mask(target, ck, _CMP_LE_OQ);
-        spill = _mm512_mask_min_pd(spill, le, spill, val);
-      }
-      const __m512d fits = _mm512_add_pd(_mm512_loadu_pd(v.ready + o), w);
-      const __mmask8 fm =
-          _mm512_cmp_pd_mask(w, _mm512_loadu_pd(v.sess + o), _CMP_LE_OQ);
-      _mm512_storeu_pd(lb + o, _mm512_mask_blend_pd(fm, spill, fits));
-    }
-  } else {
-    for (std::size_t j = 0; j < 8; ++j) {
-      const std::size_t o = j * 8;
-      const __m512d w = _mm512_mul_pd(vt, _mm512_loadu_pd(v.inv + o));
-      const __m512d rw = _mm512_add_pd(_mm512_loadu_pd(v.ready + o), w);
-      const __m512d nw = _mm512_add_pd(_mm512_loadu_pd(v.next + o), w);
-      const __mmask8 fm =
-          _mm512_cmp_pd_mask(w, _mm512_loadu_pd(v.sess + o), _CMP_LE_OQ);
-      _mm512_storeu_pd(lb + o, _mm512_mask_min_pd(nw, fm, nw, rw));
-    }
-  }
-}
-
-void score_pack_avx512(const double* log_c, const double* log_m,
-                       const double* log_i, const double* log_f,
-                       const double* log_d, const ScoreWeights& weights,
-                       std::size_t n, double* score, std::uint64_t* pref) {
-  const __m512d w0 = _mm512_set1_pd(weights.w[0]);
-  const __m512d w1 = _mm512_set1_pd(weights.w[1]);
-  const __m512d w2 = _mm512_set1_pd(weights.w[2]);
-  const __m512d w3 = _mm512_set1_pd(weights.w[3]);
-  const __m512d w4 = _mm512_set1_pd(weights.w[4]);
-  const __m512d zero = _mm512_setzero_pd();
-  const __m256i ones = _mm256_set1_epi32(-1);
-  const __m256i mant = _mm256_set1_epi32(0x7FFFFFFF);
-  const __m512i iota = _mm512_set_epi64(7, 6, 5, 4, 3, 2, 1, 0);
-  std::size_t h = 0;
-  for (; h + 8 <= n; h += 8) {
-    // Left-to-right association, exactly the scalar chain:
-    // (((w0*c + w1*m) + w2*i) + w3*f) + w4*d — mul/add only, no fma.
-    __m512d s = _mm512_mul_pd(w0, _mm512_loadu_pd(log_c + h));
-    s = _mm512_add_pd(s, _mm512_mul_pd(w1, _mm512_loadu_pd(log_m + h)));
-    s = _mm512_add_pd(s, _mm512_mul_pd(w2, _mm512_loadu_pd(log_i + h)));
-    s = _mm512_add_pd(s, _mm512_mul_pd(w3, _mm512_loadu_pd(log_f + h)));
-    s = _mm512_add_pd(s, _mm512_mul_pd(w4, _mm512_loadu_pd(log_d + h)));
-    _mm512_storeu_pd(score + h, s);
-    // descending_key, vectorized: (s + 0.0) normalizes -0.0, cvtpd_ps
-    // is the same monotone double->float rounding as static_cast, and
-    // key = negative ? bits : ~bits & 0x7FFFFFFF (the complemented
-    // sign-flip transform written out per sign).
-    const __m256 f = _mm512_cvtpd_ps(_mm512_add_pd(s, zero));
-    const __m256i bits = _mm256_castps_si256(f);
-    const __m256i sign = _mm256_srai_epi32(bits, 31);
-    const __m256i pos = _mm256_and_si256(_mm256_xor_si256(bits, ones), mant);
-    const __m256i key = _mm256_blendv_epi8(pos, bits, sign);
-    const __m512i entry = _mm512_or_si512(
-        _mm512_slli_epi64(_mm512_cvtepu32_epi64(key), 32),
-        _mm512_add_epi64(_mm512_set1_epi64(static_cast<long long>(h)),
-                         iota));
-    _mm512_storeu_si512(pref + h, entry);
-  }
-  for (; h < n; ++h) {
-    const double s = weights.w[0] * log_c[h] + weights.w[1] * log_m[h] +
-                     weights.w[2] * log_i[h] + weights.w[3] * log_f[h] +
-                     weights.w[4] * log_d[h];
-    score[h] = s;
-    pref[h] = (static_cast<std::uint64_t>(descending_key(s)) << 32) |
-              static_cast<std::uint64_t>(h);
-  }
-}
-
 constexpr KernelOps kAvx512Ops = {
-    &ect_block_sweep_avx512, &column_min_avx512,
-    &row_bounds_argmin_avx512, &gate_sweep_f32_avx512,
-    &gate_sweep_f64_avx512, &score_pack_avx512,
+    &ect_block_sweep_avx512,
+    &column_min_avx512,
+    &row_bounds_argmin_avx512,
+    &detail::gate_sweep_avx2,
 };
 
 }  // namespace

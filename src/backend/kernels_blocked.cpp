@@ -1,9 +1,9 @@
 // The blocked arm: the PR-3/5 kernel loop bodies, verbatim, moved behind
-// the dispatch table. Compiled with -ffp-contract=off and
-// -fno-trapping-math (src/CMakeLists.txt) — the same flags their
-// original homes (schedule_state.cpp / block_envelope.cpp) carry — so
-// the autovectorized code generation is unchanged by the move. This TU
-// also hosts kernel_ops(), the only consumer of the per-arm accessors.
+// the dispatch table. Compiled with -fno-trapping-math (src/CMakeLists.txt;
+// -ffp-contract=off is library-wide) — the same flags their original
+// homes (schedule_state.cpp / block_envelope.cpp) carry — so the
+// autovectorized code generation is unchanged by the move. This TU also
+// hosts kernel_ops(), the only consumer of the per-arm accessors.
 #include <algorithm>
 #include <cstdint>
 #include <limits>
@@ -20,11 +20,11 @@ EctBlockMin ect_block_sweep_blocked(const double* vals, const double* inv,
                                     std::size_t len, double task,
                                     double best_done) {
   double done[kKernelBlock];
+  double m = std::numeric_limits<double>::infinity();
   for (std::size_t i = 0; i < len; ++i) {
     done[i] = vals[i] + task * inv[i];
+    m = std::min(m, done[i]);
   }
-  double m = done[0];
-  for (std::size_t i = 1; i < len; ++i) m = std::min(m, done[i]);
   EctBlockMin out{m, std::numeric_limits<std::uint32_t>::max()};
   if (m > best_done) return out;
   std::uint32_t m_best = std::numeric_limits<std::uint32_t>::max();
@@ -67,82 +67,54 @@ std::uint32_t row_bounds_argmin_blocked(const double* row,
 // speculate a load that only appears in one ternary arm). The restart
 // bound exploits next_start >= ready so min(fits-candidate, next + w)
 // equals the routed value while keeping the unselected arm constant.
-template <typename Real>
-void gate_sweep_blocked(const GateBlockView<Real>& v, Real t, Real* lb) {
-  constexpr Real kInfR = std::numeric_limits<Real>::infinity();
-  const Real* __restrict inv = v.inv;
-  const Real* __restrict sess = v.sess;
-  const Real* __restrict ready = v.ready;
-  Real w[kKernelBlock];
+void gate_sweep_blocked(const GateBlockView& v, float t, float* lb) {
+  constexpr float kInfF = std::numeric_limits<float>::infinity();
+  const float* __restrict inv = v.inv;
+  const float* __restrict sess = v.sess;
+  const float* __restrict ready = v.ready;
+  float w[kKernelBlock];
   for (std::size_t i = 0; i < kKernelBlock; ++i) w[i] = t * inv[i];
   if (v.checkpoint) {
-    const Real* __restrict accr = v.accr;
-    Real target[kKernelBlock];
-    Real spill[kKernelBlock];
+    const float* __restrict accr = v.accr;
+    float target[kKernelBlock];
+    float spill[kKernelBlock];
     for (std::size_t i = 0; i < kKernelBlock; ++i) {
       target[i] = accr[i] + w[i];
     }
-    const Real* __restrict pl = v.phi[v.levels - 1];
+    const float* __restrict pl = v.phi[v.levels - 1];
     for (std::size_t i = 0; i < kKernelBlock; ++i) {
       spill[i] = target[i] + pl[i];
     }
     for (std::size_t k = v.levels - 1; k-- > 0;) {
-      const Real* __restrict ck = v.c[k];
-      const Real* __restrict pk = v.phi[k];
+      const float* __restrict ck = v.c[k];
+      const float* __restrict pk = v.phi[k];
       for (std::size_t i = 0; i < kKernelBlock; ++i) {
-        const Real tg = target[i];
-        const Real val = tg + pk[i];
-        const Real cand = tg <= ck[i] ? val : kInfR;
+        const float tg = target[i];
+        const float val = tg + pk[i];
+        const float cand = tg <= ck[i] ? val : kInfF;
         spill[i] = std::min(spill[i], cand);
       }
     }
     for (std::size_t i = 0; i < kKernelBlock; ++i) {
-      const Real fits = ready[i] + w[i];
-      const Real sp = spill[i];
+      const float fits = ready[i] + w[i];
+      const float sp = spill[i];
       lb[i] = w[i] <= sess[i] ? fits : sp;
     }
   } else {
-    const Real* __restrict nx = v.next;
+    const float* __restrict nx = v.next;
     for (std::size_t i = 0; i < kKernelBlock; ++i) {
-      const Real rw = ready[i] + w[i];
-      const Real fits = w[i] <= sess[i] ? rw : kInfR;
+      const float rw = ready[i] + w[i];
+      const float fits = w[i] <= sess[i] ? rw : kInfF;
       lb[i] = std::min(fits, nx[i] + w[i]);
     }
   }
 }
 
-void gate_sweep_f32_blocked(const GateBlockView<float>& v, float t,
-                            float* lb) {
-  gate_sweep_blocked(v, t, lb);
-}
-
-void gate_sweep_f64_blocked(const GateBlockView<double>& v, double t,
-                            double* lb) {
-  gate_sweep_blocked(v, t, lb);
-}
-
-void score_pack_blocked(const double* log_c, const double* log_m,
-                        const double* log_i, const double* log_f,
-                        const double* log_d, const ScoreWeights& weights,
-                        std::size_t n, double* score, std::uint64_t* pref) {
-  const double w0 = weights.w[0];
-  const double w1 = weights.w[1];
-  const double w2 = weights.w[2];
-  const double w3 = weights.w[3];
-  const double w4 = weights.w[4];
-  for (std::size_t h = 0; h < n; ++h) {
-    const double s = w0 * log_c[h] + w1 * log_m[h] + w2 * log_i[h] +
-                     w3 * log_f[h] + w4 * log_d[h];
-    score[h] = s;
-    pref[h] = (static_cast<std::uint64_t>(descending_key(s)) << 32) |
-              static_cast<std::uint64_t>(h);
-  }
-}
-
 constexpr KernelOps kBlockedOps = {
-    &ect_block_sweep_blocked, &column_min_blocked,
-    &row_bounds_argmin_blocked, &gate_sweep_f32_blocked,
-    &gate_sweep_f64_blocked, &score_pack_blocked,
+    &ect_block_sweep_blocked,
+    &column_min_blocked,
+    &row_bounds_argmin_blocked,
+    &gate_sweep_blocked,
 };
 
 }  // namespace

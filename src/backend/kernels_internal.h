@@ -14,4 +14,8 @@ const KernelOps& blocked_ops() noexcept;
 const KernelOps& avx2_ops() noexcept;
 const KernelOps& avx512_ops() noexcept;
 
+/// The AVX2 gate sweep, shared by the AVX2 and AVX-512 tables (defined
+/// in kernels_avx2.cpp; only referenced where AVX2 is compiled in).
+void gate_sweep_avx2(const GateBlockView& view, float task, float* lb);
+
 }  // namespace resmodel::backend::detail

@@ -4,16 +4,16 @@
 #include <thread>
 #include <vector>
 
+#include "util/parallel.h"
+
 namespace resmodel::bench_suite {
 
 MultiCoreScore run_on_all_cores(
     const std::function<BenchmarkScore(double)>& benchmark, double seconds,
     int threads) {
-  int n = threads;
-  if (n <= 0) {
-    n = static_cast<int>(std::thread::hardware_concurrency());
-    if (n <= 0) n = 1;
-  }
+  // Every copy must run at the same time (the score is a concurrent
+  // multi-core reading), so this is a plain spawn-all, not parallel_for.
+  const int n = util::resolve_threads(threads);
   std::vector<BenchmarkScore> scores(static_cast<std::size_t>(n));
   {
     std::vector<std::jthread> workers;

@@ -1,9 +1,10 @@
-// Compiled with -ffp-contract=off and -fno-trapping-math (see
-// src/CMakeLists.txt): the sweeps are branch-free FP selects that must
-// if-convert and vectorize; every value this file produces is a pruning
-// BOUND (consumers deflate by margin() before comparing), so contraction
-// could not break correctness — the flags are uniform across the churn
-// kernels for reproducibility between build configurations.
+// Compiled with -fno-trapping-math (see src/CMakeLists.txt; the
+// library-wide -ffp-contract=off applies too): the sweeps are branch-free
+// FP selects that must if-convert and vectorize; every value this file
+// produces is a pruning BOUND (consumers deflate by margin() before
+// comparing), so contraction could not break correctness — the flags are
+// uniform across the churn kernels for reproducibility between build
+// configurations.
 #include "churn/block_envelope.h"
 
 #include <algorithm>
@@ -21,21 +22,14 @@ static_assert(backend::kGateMaxLevels == kMaxLookaheadLevels,
 
 namespace {
 
-template <typename Real>
-constexpr double comparison_pad() {
-  return std::is_same_v<Real, float> ? kPadF32 : kPadF64;
-}
-
-constexpr double kInf = std::numeric_limits<double>::infinity();
+constexpr float kInfF = std::numeric_limits<float>::infinity();
 
 }  // namespace
 
-template <typename Real>
-void BoundGate::pack_lane(Columns<Real>& c, std::size_t pos, std::size_t host,
+void BoundGate::pack_lane(std::size_t pos, std::size_t host,
                           const sim::ScheduleState& state,
                           const CursorView& cursors) {
-  constexpr double kPad = comparison_pad<Real>();
-  c.inv_[pos] = static_cast<Real>(state.ect_sorted_inv[pos]);
+  inv_[pos] = static_cast<float>(state.ect_sorted_inv[pos]);
   // The comparison columns are PAD-INFLATED before conversion: a lane
   // that exactly fits its session (or exactly routes to level k) must
   // still take that arm after rounding, because that arm's value can
@@ -43,21 +37,19 @@ void BoundGate::pack_lane(Columns<Real>& c, std::size_t pos, std::size_t host,
   // dwarfs both the conversion error and the w/target chain error, so
   // the inclusion direction is guaranteed; the spurious inclusions it
   // admits only lower the bound (sound).
-  c.sess_[pos] = static_cast<Real>(cursors.sess_rem[host] * kPad);
-  c.ready_[pos] = static_cast<Real>(cursors.ready[host]);
-  c.next_[pos] = static_cast<Real>(cursors.next_start[host]);
-  const double accr = cursors.accr[host];
-  c.accr_[pos] = static_cast<Real>(accr);
+  sess_[pos] = static_cast<float>(cursors.sess_rem[host] * kPadF32);
+  ready_[pos] = static_cast<float>(cursors.ready[host]);
+  next_[pos] = static_cast<float>(cursors.next_start[host]);
+  accr_[pos] = static_cast<float>(cursors.accr[host]);
   const double* lv = cursors.levels.data() + host * 2 * levels_;
   for (std::size_t k = 0; k < levels_; ++k) {
-    c.c_[k][pos] = static_cast<Real>(lv[k] * kPad);
-    c.phi_[k][pos] = static_cast<Real>(lv[levels_ + k]);
+    c_[k][pos] = static_cast<float>(lv[k] * kPadF32);
+    phi_[k][pos] = static_cast<float>(lv[levels_ + k]);
   }
 }
 
-template <typename Real>
-void BoundGate::eval_block(const Columns<Real>& c, std::size_t blk,
-                           double task, Real* lb) const noexcept {
+void BoundGate::eval_block(std::size_t blk, double task,
+                           float* lb) const noexcept {
   // The sweep bodies live behind the backend dispatch table now
   // (src/backend/): the blocked arm is this function's former loop
   // nest, verbatim, in a TU with the same flags; the SIMD arms are
@@ -66,31 +58,26 @@ void BoundGate::eval_block(const Columns<Real>& c, std::size_t blk,
   // to kernels_blocked.cpp with the loops). This wrapper only assembles
   // the block's column view.
   const std::size_t lo = blk * kBlock;
-  backend::GateBlockView<Real> view;
-  view.inv = c.inv_.data() + lo;
-  view.sess = c.sess_.data() + lo;
-  view.ready = c.ready_.data() + lo;
-  view.next = c.next_.data() + lo;
-  view.accr = c.accr_.data() + lo;
+  backend::GateBlockView view;
+  view.inv = inv_.data() + lo;
+  view.sess = sess_.data() + lo;
+  view.ready = ready_.data() + lo;
+  view.next = next_.data() + lo;
+  view.accr = accr_.data() + lo;
   for (std::size_t k = 0; k < levels_; ++k) {
-    view.c[k] = c.c_[k].data() + lo;
-    view.phi[k] = c.phi_[k].data() + lo;
+    view.c[k] = c_[k].data() + lo;
+    view.phi[k] = phi_[k].data() + lo;
   }
   view.levels = levels_;
   view.checkpoint = policy_ == InterruptionPolicy::kCheckpoint;
-  if constexpr (std::is_same_v<Real, float>) {
-    ops_->gate_sweep_f32(view, static_cast<float>(task), lb);
-  } else {
-    ops_->gate_sweep_f64(view, task, lb);
-  }
+  ops_->gate_sweep(view, static_cast<float>(task), lb);
 }
 
-template <typename Real>
 std::pair<double, std::uint8_t> BoundGate::eval_block_min(
-    const Columns<Real>& c, std::size_t blk, double task) const noexcept {
-  Real lb[kBlock];
-  eval_block(c, blk, task, lb);
-  Real m = lb[0];
+    std::size_t blk, double task) const noexcept {
+  float lb[kBlock];
+  eval_block(blk, task, lb);
+  float m = lb[0];
   std::uint8_t arg = 0;
   for (std::size_t i = 1; i < kBlock; ++i) {
     if (lb[i] < m) {
@@ -101,33 +88,7 @@ std::pair<double, std::uint8_t> BoundGate::eval_block_min(
   return {static_cast<double>(m), arg};
 }
 
-template <typename Real>
-double BoundGate::envelope_query(const Columns<Real>& c, std::size_t blk,
-                                 double task) const noexcept {
-  const Real* kt = c.knot_t_.data() + blk * kKnotCapacity;
-  const Real* kv = c.knot_v_.data() + blk * kKnotCapacity;
-  const std::size_t m = knot_count_[blk];
-  const Real t = static_cast<Real>(task);
-  // Last knot with position <= t. Knot 0 sits at exactly 0, so the
-  // invariant kt[lo] <= t holds from the start (tasks are positive).
-  std::size_t lo = 0;
-  std::size_t hi = m;
-  while (hi - lo > 1) {
-    const std::size_t mid = (lo + hi) / 2;
-    if (kt[mid] <= t) {
-      lo = mid;
-    } else {
-      hi = mid;
-    }
-  }
-  // (task - knot) can round a hair negative when Real(task) snapped up
-  // onto the knot; that only lowers the bound.
-  return static_cast<double>(kv[lo]) +
-         (task - static_cast<double>(kt[lo])) * bmin_inv_[blk];
-}
-
-template <typename Real>
-void BoundGate::rebuild_knots(Columns<Real>& c, std::size_t blk,
+void BoundGate::rebuild_knots(std::size_t blk,
                               const sim::ScheduleState& state,
                               const CursorView& cursors) {
   const std::size_t lo = blk * kBlock;
@@ -137,7 +98,7 @@ void BoundGate::rebuild_knots(Columns<Real>& c, std::size_t blk,
   // units: the fits->spill boundary at sess_rem / inv and (checkpoint
   // only) the level boundaries at (cum_k - accr) / inv. Positions are
   // sample points, nothing more — the values are evaluated at the
-  // STORED (Real-rounded) positions, so any rounding here is harmless.
+  // STORED (float-rounded) positions, so any rounding here is harmless.
   knot_scratch_.clear();
   for (std::size_t i = 0; i < len; ++i) {
     const std::size_t host = state.ect_order[lo + i];
@@ -158,11 +119,11 @@ void BoundGate::rebuild_knots(Columns<Real>& c, std::size_t blk,
   }
   std::sort(knot_scratch_.begin(), knot_scratch_.end());
 
-  Real* kt = c.knot_t_.data() + blk * kKnotCapacity;
-  Real* kv = c.knot_v_.data() + blk * kKnotCapacity;
+  float* kt = knot_t_.data() + blk * kKnotCapacity;
+  float* kv = knot_v_.data() + blk * kKnotCapacity;
   std::uint8_t* ka = knot_argmin_.data() + blk * kKnotCapacity;
   std::size_t count = 0;
-  kt[count++] = static_cast<Real>(0.0);  // universal anchor: min ready
+  kt[count++] = 0.0f;  // universal anchor: min ready
   const std::size_t cands = knot_scratch_.size();
   const std::size_t take = std::min(cands, kKnotCapacity - 1);
   for (std::size_t j = 0; j < take; ++j) {
@@ -170,76 +131,69 @@ void BoundGate::rebuild_knots(Columns<Real>& c, std::size_t blk,
     const std::size_t idx = cands <= kKnotCapacity - 1
                                 ? j
                                 : j * cands / take;
-    const Real t = static_cast<Real>(knot_scratch_[idx]);
+    const float t = static_cast<float>(knot_scratch_[idx]);
     if (t <= kt[count - 1]) continue;  // dedupe after rounding
     kt[count++] = t;
   }
   for (std::size_t k = 0; k < count; ++k) {
-    const auto [v, arg] =
-        eval_block_min(c, blk, static_cast<double>(kt[k]));
-    kv[k] = static_cast<Real>(v);
+    const auto [v, arg] = eval_block_min(blk, static_cast<double>(kt[k]));
+    kv[k] = static_cast<float>(v);
     ka[k] = arg;
   }
   knot_count_[blk] = static_cast<std::uint16_t>(count);
   stale_[blk] = 0;
 }
 
-template <typename Real>
-void BoundGate::repair_knots(Columns<Real>& c, std::size_t blk,
-                             std::uint8_t lane) {
+void BoundGate::repair_knots(std::size_t blk, std::uint8_t lane) {
   // Only knots whose recorded minimum came from the reassigned lane can
   // be stale-low (the lane's completion function only moved up; every
   // other knot's stored minimum is untouched and still sound).
   const std::size_t base = blk * kKnotCapacity;
-  Real* kt = c.knot_t_.data() + base;
-  Real* kv = c.knot_v_.data() + base;
+  const float* kt = knot_t_.data() + base;
+  float* kv = knot_v_.data() + base;
   std::uint8_t* ka = knot_argmin_.data() + base;
   const std::size_t count = knot_count_[blk];
   for (std::size_t k = 0; k < count; ++k) {
     if (ka[k] != lane) continue;
-    const auto [v, arg] =
-        eval_block_min(c, blk, static_cast<double>(kt[k]));
-    kv[k] = static_cast<Real>(v);
+    const auto [v, arg] = eval_block_min(blk, static_cast<double>(kt[k]));
+    kv[k] = static_cast<float>(v);
     ka[k] = arg;
   }
 }
 
-template <typename Real>
-void BoundGate::rebuild_coarse_row(const Columns<Real>& c, std::size_t blk) {
+void BoundGate::rebuild_coarse_row(std::size_t blk) {
   for (std::size_t k = 0; k < kBuckets; ++k) {
-    coarse_[k * blocks_ + blk] =
-        mode_ == GateMode::kEnvelope
-            ? envelope_query(c, blk, bucket_edges_[k])
-            : eval_block_min(c, blk, bucket_edges_[k]).first;
+    coarse_[k * blocks_ + blk] = block_bound(blk, bucket_edges_[k]);
   }
 }
 
-template <typename Real>
-void BoundGate::reset_impl(Columns<Real>& c, const sim::ScheduleState& state,
-                           const CursorView& cursors,
-                           std::span<const double> tasks) {
+void BoundGate::reset(const sim::ScheduleState& state,
+                      const CursorView& cursors,
+                      std::span<const double> tasks,
+                      InterruptionPolicy policy) {
+  policy_ = policy;
   blocks_ = state.block_count();
   size_ = state.size();
   bmin_inv_ = state.ect_block_min_inv.data();
   levels_ = cursors.levels_count;
   const std::size_t padded = blocks_ * kBlock;
-  c.inv_.assign(padded, static_cast<Real>(0.0));
-  c.sess_.assign(padded, static_cast<Real>(kInf));
-  c.ready_.assign(padded, static_cast<Real>(kInf));
-  c.next_.assign(padded, static_cast<Real>(kInf));
-  c.accr_.assign(padded, static_cast<Real>(0.0));
+  inv_.assign(padded, 0.0f);
+  sess_.assign(padded, kInfF);
+  ready_.assign(padded, kInfF);
+  next_.assign(padded, kInfF);
+  accr_.assign(padded, 0.0f);
   for (std::size_t k = 0; k < levels_; ++k) {
-    c.c_[k].assign(padded, static_cast<Real>(kInf));
-    c.phi_[k].assign(padded, static_cast<Real>(kInf));
+    c_[k].assign(padded, kInfF);
+    phi_[k].assign(padded, kInfF);
   }
   for (std::size_t pos = 0; pos < size_; ++pos) {
-    pack_lane(c, pos, state.ect_order[pos], state, cursors);
+    pack_lane(pos, state.ect_order[pos], state, cursors);
   }
 
   // Coarse edges: edge 0 is exactly 0 (its row entry is the min-ready
   // bound, valid for every positive task), the rest log-spaced over the
   // workload's size range.
-  double tmin = kInf;
+  double tmin = std::numeric_limits<double>::infinity();
   double tmax = 0.0;
   for (const double t : tasks) {
     tmin = std::min(tmin, t);
@@ -259,62 +213,30 @@ void BoundGate::reset_impl(Columns<Real>& c, const sim::ScheduleState& state,
   }
 
   coarse_.resize(kBuckets * blocks_);
-  if (mode_ == GateMode::kEnvelope) {
-    c.knot_t_.resize(blocks_ * kKnotCapacity);
-    c.knot_v_.resize(blocks_ * kKnotCapacity);
-    knot_argmin_.resize(blocks_ * kKnotCapacity);
-    knot_count_.assign(blocks_, 0);
-    stale_.assign(blocks_, 0);
-    for (std::size_t b = 0; b < blocks_; ++b) {
-      rebuild_knots(c, b, state, cursors);
-      rebuild_coarse_row(c, b);
-    }
-  } else {
-    for (std::size_t b = 0; b < blocks_; ++b) rebuild_coarse_row(c, b);
-  }
-}
-
-template <typename Real>
-void BoundGate::on_assign_impl(Columns<Real>& c, std::size_t host,
-                               const sim::ScheduleState& state,
-                               const CursorView& cursors) {
-  const std::size_t pos = state.ect_pos[host];
-  pack_lane(c, pos, host, state, cursors);
-  const std::size_t blk = pos / kBlock;
-  if (mode_ == GateMode::kEnvelope) {
-    if (++stale_[blk] >= kStaleLimit) {
-      // Lazy epoch: the knot positions have drifted from the block's
-      // current breakpoints; re-derive them (values included).
-      rebuild_knots(c, blk, state, cursors);
-      rebuild_coarse_row(c, blk);
-    } else {
-      repair_knots(c, blk, static_cast<std::uint8_t>(pos - blk * kBlock));
-      rebuild_coarse_row(c, blk);
-    }
-  } else {
-    rebuild_coarse_row(c, blk);
-  }
-}
-
-void BoundGate::reset(const sim::ScheduleState& state,
-                      const CursorView& cursors,
-                      std::span<const double> tasks,
-                      InterruptionPolicy policy) {
-  policy_ = policy;
-  if (float32_) {
-    reset_impl(f32_, state, cursors, tasks);
-  } else {
-    reset_impl(f64_, state, cursors, tasks);
+  knot_t_.resize(blocks_ * kKnotCapacity);
+  knot_v_.resize(blocks_ * kKnotCapacity);
+  knot_argmin_.resize(blocks_ * kKnotCapacity);
+  knot_count_.assign(blocks_, 0);
+  stale_.assign(blocks_, 0);
+  for (std::size_t b = 0; b < blocks_; ++b) {
+    rebuild_knots(b, state, cursors);
+    rebuild_coarse_row(b);
   }
 }
 
 void BoundGate::on_assign(std::size_t host, const sim::ScheduleState& state,
                           const CursorView& cursors) {
-  if (float32_) {
-    on_assign_impl(f32_, host, state, cursors);
+  const std::size_t pos = state.ect_pos[host];
+  pack_lane(pos, host, state, cursors);
+  const std::size_t blk = pos / kBlock;
+  if (++stale_[blk] >= kStaleLimit) {
+    // Lazy epoch: the knot positions have drifted from the block's
+    // current breakpoints; re-derive them (values included).
+    rebuild_knots(blk, state, cursors);
   } else {
-    on_assign_impl(f64_, host, state, cursors);
+    repair_knots(blk, static_cast<std::uint8_t>(pos - blk * kBlock));
   }
+  rebuild_coarse_row(blk);
 }
 
 std::size_t BoundGate::bucket_of(double task) const noexcept {
@@ -325,26 +247,33 @@ std::size_t BoundGate::bucket_of(double task) const noexcept {
 }
 
 double BoundGate::block_bound(std::size_t blk, double task) const noexcept {
-  if (mode_ == GateMode::kEnvelope) {
-    return float32_ ? envelope_query(f32_, blk, task)
-                    : envelope_query(f64_, blk, task);
+  const float* kt = knot_t_.data() + blk * kKnotCapacity;
+  const float* kv = knot_v_.data() + blk * kKnotCapacity;
+  const std::size_t m = knot_count_[blk];
+  const float t = static_cast<float>(task);
+  // Last knot with position <= t. Knot 0 sits at exactly 0, so the
+  // invariant kt[lo] <= t holds from the start (tasks are positive).
+  std::size_t lo = 0;
+  std::size_t hi = m;
+  while (hi - lo > 1) {
+    const std::size_t mid = (lo + hi) / 2;
+    if (kt[mid] <= t) {
+      lo = mid;
+    } else {
+      hi = mid;
+    }
   }
-  const std::size_t bucket = bucket_of(task);
-  return coarse_[bucket * blocks_ + blk] +
-         (task - bucket_edges_[bucket]) * bmin_inv_[blk];
+  // (task - knot) can round a hair negative when float(task) snapped up
+  // onto the knot; that only lowers the bound.
+  return static_cast<double>(kv[lo]) +
+         (task - static_cast<double>(kt[lo])) * bmin_inv_[blk];
 }
 
 void BoundGate::sweep_block(std::size_t blk, double task,
                             double* lb) const noexcept {
-  if (float32_) {
-    float buf[kBlock];
-    eval_block(f32_, blk, task, buf);
-    for (std::size_t i = 0; i < kBlock; ++i) {
-      lb[i] = static_cast<double>(buf[i]);
-    }
-  } else {
-    eval_block(f64_, blk, task, lb);
-  }
+  float buf[kBlock];
+  eval_block(blk, task, buf);
+  for (std::size_t i = 0; i < kBlock; ++i) lb[i] = static_cast<double>(buf[i]);
 }
 
 double BoundGate::lane_bound(std::size_t pos, double task) const noexcept {

@@ -1,10 +1,10 @@
-// Compiled with -ffp-contract=off (src/CMakeLists.txt): the blocked and
-// reference selection paths must produce bit-identical completion times,
-// which rules out the compiler fusing a + b * c into an fma in one loop
-// but not the other. The interval-walk primitives are shared functions,
-// and every blocked survivor resolves through completion_for — the same
-// code the reference runs — so the results are identical by construction
-// regardless of the gate's mode or column precision.
+// Compiled with -ffp-contract=off (library-wide, src/CMakeLists.txt): the
+// blocked and reference selection paths must produce bit-identical
+// completion times, which rules out the compiler fusing a + b * c into an
+// fma in one loop but not the other. The interval-walk primitives are
+// shared functions, and every blocked survivor resolves through
+// completion_for — the same code the reference runs — so the results are
+// identical by construction regardless of the gate's float32 bounds.
 #include "churn/churn_scheduler.h"
 
 #include <algorithm>
@@ -117,7 +117,7 @@ ChurnScheduler::ChurnScheduler(sim::ScheduleState& state,
       config_(config),
       resolved_(backend::resolve(config.backend)),
       ops_(&backend::kernel_ops(resolved_.simd)),
-      gate_(config.gate_mode, config.float32_columns, resolved_.simd) {
+      gate_(resolved_.simd) {
   if (state.size() != timeline.host_count()) {
     throw std::invalid_argument(
         "ChurnScheduler: state and timeline host counts differ");
@@ -151,8 +151,7 @@ ChurnScheduler::ChurnScheduler(sim::ScheduleState& state,
       accr_ready_(seed.accr_ready_),
       sess_idx_(seed.sess_idx_),
       levels_(seed.levels_),
-      gate_(seed.config_.gate_mode, seed.config_.float32_columns,
-            resolved_.simd) {
+      gate_(resolved_.simd) {
   if (state.size() != timeline_.host_count()) {
     throw std::invalid_argument(
         "ChurnScheduler: state and seed host counts differ");
@@ -356,12 +355,11 @@ std::uint32_t ChurnScheduler::select_ect(double task,
         }
       }
     } else {
-      const double margin = gate_.margin();
+      constexpr double margin = BoundGate::margin();
       const double* inv = state_.ect_sorted_inv.data();
       const double* bmin_inv = state_.ect_block_min_inv.data();
       const std::uint32_t* order = state_.ect_order.data();
       const std::size_t blocks = state_.block_count();
-      const bool enveloped = gate_.mode() == GateMode::kEnvelope;
       // Level A: the coarse bucket row — one contiguous read per task.
       // Completions are non-decreasing in task size, so the row entry at
       // the anchor edge, extended by (task - edge) * block_min_inv, lower
@@ -388,8 +386,7 @@ std::uint32_t ChurnScheduler::select_ect(double task,
         // Level B: the per-block envelope at the exact task size — an
         // O(log knots) refinement that culls the near-misses the coarse
         // row admits, without streaming the block's columns.
-        if (enveloped && bi != 0 &&
-            gate_.block_bound(b, task) * margin > best_done) {
+        if (bi != 0 && gate_.block_bound(b, task) * margin > best_done) {
           continue;
         }
         gate_.sweep_block(b, task, lb);

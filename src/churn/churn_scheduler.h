@@ -47,9 +47,9 @@
 // Survivor lanes are resolved through the EXACT double cursor
 // expressions (the same code path the scalar reference runs), which is
 // what keeps the blocked kernel bit-identical to the retained full-
-// evaluation oracle regardless of gate mode or column precision. This
-// file is compiled with -ffp-contract=off and -fno-trapping-math (see
-// src/CMakeLists.txt).
+// evaluation oracle regardless of the float32 gate's rounding. This file
+// is compiled with -fno-trapping-math (see src/CMakeLists.txt; the
+// library-wide -ffp-contract=off applies too).
 //
 // Beyond the timeline's horizon hosts count as permanently ON (see
 // interval_timeline.h); schedules that outrun the generated window stay
@@ -83,10 +83,11 @@ struct ChurnScheduleTotals {
 };
 
 /// Tuning knobs for the blocked kernel. Every setting returns the same
-/// schedule bit for bit — they trade pruning power and swept bytes, not
-/// results (the lookahead depth can shift completions by ulps ACROSS
-/// depths, because deep spills resolve through a different exact
-/// expression, but blocked and reference agree exactly at equal depth).
+/// schedule bit for bit as run_reference() at that setting — they trade
+/// pruning power and swept bytes, not results (the lookahead depth can
+/// shift completions by ulps ACROSS depths, because deep spills resolve
+/// through a different exact expression, but blocked and reference agree
+/// exactly at equal depth).
 struct ChurnSchedulerConfig {
   /// Resident (cum, phi) lookahead sessions per host, in [1,
   /// kMaxLookaheadLevels]. More levels resolve deeper checkpoint spills
@@ -97,10 +98,6 @@ struct ChurnSchedulerConfig {
   /// 8 cuts that to ~25 / ~20; 12 buys no further shape and streams
   /// wider columns).
   std::size_t lookahead_levels = 8;
-  GateMode gate_mode = GateMode::kEnvelope;
-  /// Pack the swept bound columns as float32 (half the streamed bytes,
-  /// twice the SIMD width); commit-time completions stay double.
-  bool float32_columns = true;
   /// Compute backend for the column sweeps (src/backend/README.md):
   /// kAuto picks the widest SIMD arm the CPU offers; kScalar routes
   /// run() onto run_reference(). Like every other knob here, the

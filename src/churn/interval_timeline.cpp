@@ -1,8 +1,8 @@
 #include "churn/interval_timeline.h"
 
 #include <algorithm>
-#include <atomic>
-#include <thread>
+
+#include "util/parallel.h"
 
 namespace resmodel::churn {
 
@@ -16,40 +16,19 @@ void fill_hosts(std::vector<std::vector<synth::AvailabilityInterval>>& per_host,
                 std::vector<util::Rng>& host_rngs, synth::StartMode mode,
                 int threads) {
   const std::size_t n = per_host.size();
-  if (threads <= 0) {
-    threads = static_cast<int>(std::thread::hardware_concurrency());
-    if (threads <= 0) threads = 1;
-  }
   // Interval sampling is ~a hundred distribution draws per host; chunks of
   // 256 keep claim traffic negligible without starving the pool.
   constexpr std::size_t kChunk = 256;
-  const std::size_t chunk_count = (n + kChunk - 1) / kChunk;
-  std::atomic<std::size_t> next_chunk{0};
-  const auto worker = [&] {
-    for (;;) {
-      const std::size_t chunk = next_chunk.fetch_add(1);
-      if (chunk >= chunk_count) return;
-      const std::size_t begin = chunk * kChunk;
-      const std::size_t end = std::min(n, begin + kChunk);
-      for (std::size_t i = begin; i < end; ++i) {
-        const synth::AvailabilityModel model(
-            shared_params ? params[0] : params[i]);
-        per_host[i] = model.generate(start_day, end_day, host_rngs[i], mode);
-      }
+  util::parallel_for((n + kChunk - 1) / kChunk, threads,
+                     [&](std::size_t chunk) {
+    const std::size_t begin = chunk * kChunk;
+    const std::size_t end = std::min(n, begin + kChunk);
+    for (std::size_t i = begin; i < end; ++i) {
+      const synth::AvailabilityModel model(
+          shared_params ? params[0] : params[i]);
+      per_host[i] = model.generate(start_day, end_day, host_rngs[i], mode);
     }
-  };
-  const std::size_t n_workers =
-      std::min<std::size_t>(static_cast<std::size_t>(threads),
-                            std::max<std::size_t>(chunk_count, 1));
-  if (n_workers <= 1) {
-    worker();
-  } else {
-    // The calling thread is worker zero; only the extras are spawned.
-    std::vector<std::jthread> pool;
-    pool.reserve(n_workers - 1);
-    for (std::size_t i = 1; i < n_workers; ++i) pool.emplace_back(worker);
-    worker();
-  }
+  });
 }
 
 IntervalTimeline generate_impl(std::span<const synth::AvailabilityParams> params,

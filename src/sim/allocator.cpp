@@ -1,15 +1,14 @@
 #include "sim/allocator.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <numeric>
 #include <stdexcept>
-#include <thread>
 
-#include "backend/kernels.h"
+#include "util/parallel.h"
 
 namespace resmodel::sim {
 
@@ -19,15 +18,21 @@ namespace {
 /// the host index (low half), so ascending uint64 order IS "descending
 /// score, then ascending host index" — one integer compare, 8-byte radix
 /// scatters, and the deterministic tie-break built into the value.
-///
-/// The key transform is backend::descending_key (kernels.h): the classic
-/// sign-flip transform, complemented, so *ascending* unsigned order is
-/// *descending* float(score) order. double->float rounding is monotone,
-/// so equal doubles always share a key and unequal doubles can only
-/// collide when they round to the same float — those rare runs are
-/// repaired by refine_ties() against the exact scores. The fused
-/// score+pack sweep itself is a dispatch kernel (KernelOps::score_pack).
 constexpr std::uint64_t kIndexMask = 0xFFFFFFFFull;
+
+/// Maps a score to a 32-bit key whose *ascending* unsigned order is the
+/// *descending* float(score) order: the classic sign-flip transform,
+/// complemented, with -0.0 normalized onto +0.0 first. double->float
+/// rounding is monotone, so equal doubles always share a key and unequal
+/// doubles can only collide when they round to the same float — those
+/// rare runs are repaired by refine_ties() against the exact scores.
+std::uint32_t descending_key(double score) noexcept {
+  const float narrowed = static_cast<float>(score + 0.0);
+  std::uint32_t bits;
+  std::memcpy(&bits, &narrowed, sizeof(bits));
+  bits = (bits & 0x80000000u) ? ~bits : (bits | 0x80000000u);
+  return ~bits;
+}
 
 /// Re-sorts every run of equal 32-bit keys by the exact rule (descending
 /// double score, ascending host index). Within a run the packed low
@@ -59,11 +64,8 @@ constexpr std::size_t kRadixCutoff = 4096;
 /// ascending index). Large inputs take a stable LSD radix sort over the
 /// two 16-bit digits of the key half — the low (index) half never needs
 /// a pass because entries enter in ascending host index and stable
-/// scatters keep them that way. `hist` and `scratch` are caller-owned so
-/// one worker reuses them across apps.
+/// scatters keep them that way.
 void sort_preferences(std::vector<std::uint64_t>& pref,
-                      std::vector<std::uint64_t>& scratch,
-                      std::vector<std::uint32_t>& hist,
                       const double* scores) {
   const std::size_t n = pref.size();
   if (n < kRadixCutoff) {
@@ -76,8 +78,8 @@ void sort_preferences(std::vector<std::uint64_t>& pref,
   constexpr std::size_t kBuckets = std::size_t{1} << kDigitBits;
   constexpr int kKeyShift = 32;
   constexpr int kPasses = 2;
-  scratch.resize(n);
-  hist.assign(kPasses * kBuckets, 0);
+  std::vector<std::uint64_t> scratch(n);
+  std::vector<std::uint32_t> hist(kPasses * kBuckets, 0);
 
   // Both histograms in one scan.
   std::uint32_t* hist_lo = hist.data();
@@ -164,13 +166,11 @@ AllocationResult allocate_round_robin(std::span<const ApplicationSpec> apps,
   if (apps.empty()) {
     throw std::invalid_argument("allocate_round_robin: no applications");
   }
-  const backend::ResolvedBackend rb = backend::resolve(backend);
-  if (rb.arm == backend::Backend::kScalar) {
+  if (backend::resolve(backend).arm == backend::Backend::kScalar) {
     // The scalar arm IS the retained pow-based oracle.
     const std::vector<HostResources> aos = hosts.to_hosts();
     return allocate_round_robin_reference(apps, aos);
   }
-  const backend::KernelOps& ops = backend::kernel_ops(rb.simd);
   const std::size_t a_count = apps.size();
   const std::size_t h_count = hosts.size();
   if (h_count > std::numeric_limits<std::uint32_t>::max()) {
@@ -206,45 +206,33 @@ AllocationResult allocate_round_robin(std::span<const ApplicationSpec> apps,
     log_d = local_logs[4].data();
   }
 
-  // Score+sort phase, one independent task per application; the work
+  // Score+sort phase, one independent job per application; the work
   // depends only on the app, so the result is thread-count invariant.
   std::vector<std::vector<std::uint64_t>> preference(a_count);
   std::vector<std::vector<double>> scores(a_count);
-  std::atomic<std::size_t> next_app{0};
-  const auto worker = [&] {
-    std::vector<std::uint64_t> scratch;
-    std::vector<std::uint32_t> hist;
-    for (;;) {
-      const std::size_t a = next_app.fetch_add(1);
-      if (a >= a_count) return;
-      const ApplicationSpec& app = apps[a];
-      std::vector<double>& score = scores[a];
-      std::vector<std::uint64_t>& pref = preference[a];
-      score.resize(h_count);
-      pref.resize(h_count);
-      // The fused sweep: five contiguous columns in, one packed entry
-      // out — through the dispatch table (bit-identical across arms).
-      const backend::ScoreWeights weights{
-          {app.alpha, app.beta, app.gamma, app.delta, app.epsilon}};
-      ops.score_pack(log_c, log_m, log_i, log_f, log_d, weights, h_count,
-                     score.data(), pref.data());
-      sort_preferences(pref, scratch, hist, score.data());
+  util::parallel_for(a_count, threads, [&](std::size_t a) {
+    const ApplicationSpec& app = apps[a];
+    scores[a].resize(h_count);
+    preference[a].resize(h_count);
+    // The fused sweep (autovectorized): five contiguous columns in, one
+    // packed entry out, summed left to right. The exponents are hoisted
+    // into locals so the stores cannot alias them.
+    const double w0 = app.alpha;
+    const double w1 = app.beta;
+    const double w2 = app.gamma;
+    const double w3 = app.delta;
+    const double w4 = app.epsilon;
+    double* score = scores[a].data();
+    std::uint64_t* pref = preference[a].data();
+    for (std::size_t h = 0; h < h_count; ++h) {
+      const double s = w0 * log_c[h] + w1 * log_m[h] + w2 * log_i[h] +
+                       w3 * log_f[h] + w4 * log_d[h];
+      score[h] = s;
+      pref[h] = (static_cast<std::uint64_t>(descending_key(s)) << 32) |
+                static_cast<std::uint64_t>(h);
     }
-  };
-
-  if (threads <= 0) {
-    threads = static_cast<int>(std::thread::hardware_concurrency());
-    if (threads <= 0) threads = 1;
-  }
-  const std::size_t n_workers =
-      std::min<std::size_t>(static_cast<std::size_t>(threads), a_count);
-  {
-    // The calling thread is worker zero; only the extras are spawned.
-    std::vector<std::jthread> pool;
-    pool.reserve(n_workers - 1);
-    for (std::size_t i = 1; i < n_workers; ++i) pool.emplace_back(worker);
-    worker();
-  }
+    sort_preferences(preference[a], score);
+  });
 
   // exp only on the hosts an application actually wins.
   return select_round_robin(

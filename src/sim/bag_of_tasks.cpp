@@ -1,19 +1,18 @@
 #include "sim/bag_of_tasks.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <limits>
 #include <numeric>
 #include <optional>
 #include <stdexcept>
-#include <thread>
 #include <utility>
 
 #include "churn/churn_scheduler.h"
 #include "sim/replication.h"
 #include "sim/schedule_state.h"
 #include "stats/distributions.h"
+#include "util/parallel.h"
 
 namespace resmodel::sim {
 
@@ -608,54 +607,33 @@ PolicySweepResult run_policy_sweep(std::span<const SweepPopulation> populations,
     if (any_ect) pop.state_flagged.ensure_ect_caches();
   }
 
-  // Independent, deterministically seeded cells claimed off an atomic
-  // counter — the allocator's score-phase pattern. Any thread may run any
-  // cell; none of them shares mutable state (the shared states and
-  // cursor seeds are read-only after the loop above), so the grid is
-  // thread-count invariant.
-  std::atomic<std::size_t> next_cell{0};
-  const auto worker = [&] {
-    for (;;) {
-      const std::size_t c = next_cell.fetch_add(1);
-      if (c >= cell_count) return;
-      PolicySweepCell& cell = result.cells[c];
-      cell.task_count = c % result.task_count_count;
-      cell.policy = (c / result.task_count_count) % result.policy_count;
-      cell.population = c / (result.task_count_count * result.policy_count);
-      BagOfTasksConfig cell_config = config.base;
-      cell_config.task_count = config.task_counts[cell.task_count];
-      const SchedulingPolicy policy = config.policies[cell.policy];
-      const SharedState& pop_state = shared[cell.population];
-      const bool churn_cell = is_churn_policy(policy);
-      // Replicated cells (churn or not) resume from the post-realization
-      // stream, exactly like a standalone replicated run; when
-      // model_availability is set the two resume points coincide.
-      const bool timeline_cell = churn_cell || replicated;
-      util::Rng cell_rng = timeline_cell ? pop_state.rng_after_avail
-                                         : pop_state.rng_after_flagged;
-      cell.result = run_with_state(
-          ScheduleState(churn_cell ? pop_state.state_base
-                                   : pop_state.state_flagged),
-          timeline_cell ? pop_state.timeline.get() : nullptr, cell_config,
-          policy, cell_rng, /*reference_dynamics=*/false,
-          churn_cell ? &*pop_state.cursor_seed : nullptr);
-    }
-  };
-
-  int threads = config.threads;
-  if (threads <= 0) {
-    threads = static_cast<int>(std::thread::hardware_concurrency());
-    if (threads <= 0) threads = 1;
-  }
-  const std::size_t n_workers =
-      std::min<std::size_t>(static_cast<std::size_t>(threads), cell_count);
-  {
-    // The calling thread is worker zero; only the extras are spawned.
-    std::vector<std::jthread> pool;
-    pool.reserve(n_workers - 1);
-    for (std::size_t i = 1; i < n_workers; ++i) pool.emplace_back(worker);
-    worker();
-  }
+  // Independent, deterministically seeded cells claimed off the shared
+  // worker pool. Any thread may run any cell; none of them shares mutable
+  // state (the shared states and cursor seeds are read-only after the
+  // loop above), so the grid is thread-count invariant.
+  util::parallel_for(cell_count, config.threads, [&](std::size_t c) {
+    PolicySweepCell& cell = result.cells[c];
+    cell.task_count = c % result.task_count_count;
+    cell.policy = (c / result.task_count_count) % result.policy_count;
+    cell.population = c / (result.task_count_count * result.policy_count);
+    BagOfTasksConfig cell_config = config.base;
+    cell_config.task_count = config.task_counts[cell.task_count];
+    const SchedulingPolicy policy = config.policies[cell.policy];
+    const SharedState& pop_state = shared[cell.population];
+    const bool churn_cell = is_churn_policy(policy);
+    // Replicated cells (churn or not) resume from the post-realization
+    // stream, exactly like a standalone replicated run; when
+    // model_availability is set the two resume points coincide.
+    const bool timeline_cell = churn_cell || replicated;
+    util::Rng cell_rng = timeline_cell ? pop_state.rng_after_avail
+                                       : pop_state.rng_after_flagged;
+    cell.result = run_with_state(
+        ScheduleState(churn_cell ? pop_state.state_base
+                                 : pop_state.state_flagged),
+        timeline_cell ? pop_state.timeline.get() : nullptr, cell_config,
+        policy, cell_rng, /*reference_dynamics=*/false,
+        churn_cell ? &*pop_state.cursor_seed : nullptr);
+  });
   return result;
 }
 

@@ -292,9 +292,9 @@ struct PolicySweepResult {
   }
 };
 
-/// Runs every (population, policy, task count) cell of the grid on a
-/// worker pool (the same spawn-extra-jthreads pattern as the allocator's
-/// score phase; the calling thread is worker zero). Cells are independent
+/// Runs every (population, policy, task count) cell of the grid through
+/// util::parallel_for (the calling thread is worker zero; a throwing cell
+/// rethrows on the caller). Cells are independent
 /// and deterministically seeded, so the result is identical for any
 /// thread count. Throws std::invalid_argument on an empty grid axis, an
 /// empty population, or a degenerate base config.

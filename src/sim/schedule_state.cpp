@@ -1,7 +1,7 @@
-// Compiled with -ffp-contract=off (src/CMakeLists.txt): the blocked and
-// reference kernels must produce bit-identical completion times, which
-// rules out the compiler fusing free_at + task * inv_rate into an fma in
-// one loop but not the other.
+// Compiled with -ffp-contract=off (library-wide, src/CMakeLists.txt): the
+// blocked and reference kernels must produce bit-identical completion
+// times, which rules out the compiler fusing free_at + task * inv_rate
+// into an fma in one loop but not the other.
 #include "sim/schedule_state.h"
 
 #include <algorithm>
@@ -11,6 +11,7 @@
 #include <utility>
 
 #include "backend/kernels.h"
+#include "util/quad_heap.h"
 
 namespace resmodel::sim {
 
@@ -172,85 +173,45 @@ DynamicScheduleTotals ect_schedule_reference(ScheduleState& state,
   return totals;
 }
 
-PullHeap::PullHeap(std::size_t hosts) : entries_(hosts) {
-  for (std::size_t h = 0; h < hosts; ++h) {
-    entries_[h] = {0.0, static_cast<std::uint64_t>(h)};
-  }
+namespace {
+
+/// One pull-heap entry: the day the host next goes idle, and the host.
+struct IdleHost {
+  double free_at = 0.0;
+  std::uint32_t host = 0;
+};
+
+/// Earliest idle first, lowest host index on ties — the same (key, id)
+/// total order std::priority_queue<pair<double, size_t>, greater> pops in.
+inline bool idles_before(const IdleHost& a, const IdleHost& b) noexcept {
+  return a.free_at < b.free_at || (a.free_at == b.free_at && a.host < b.host);
 }
 
-PullHeap::PullHeap(std::span<const double> keys) : entries_(keys.size()) {
-  for (std::size_t h = 0; h < keys.size(); ++h) {
-    entries_[h] = {keys[h], static_cast<std::uint64_t>(h)};
-  }
-  if (entries_.size() > 1) {
-    for (std::size_t i = (entries_.size() - 2) / kArity + 1; i-- > 0;) {
-      sift_down(i);
-    }
-  }
-}
-
-void PullHeap::sift_up(std::size_t i) noexcept {
-  const Entry e = entries_[i];
-  while (i > 0) {
-    const std::size_t parent = (i - 1) / kArity;
-    if (!less(e, entries_[parent])) break;
-    entries_[i] = entries_[parent];
-    i = parent;
-  }
-  entries_[i] = e;
-}
-
-void PullHeap::sift_down(std::size_t i) noexcept {
-  const std::size_t n = entries_.size();
-  const Entry e = entries_[i];
-  for (;;) {
-    const std::size_t first_child = i * kArity + 1;
-    if (first_child >= n) break;
-    const std::size_t last_child = std::min(n, first_child + kArity);
-    std::size_t smallest = first_child;
-    for (std::size_t c = first_child + 1; c < last_child; ++c) {
-      if (less(entries_[c], entries_[smallest])) smallest = c;
-    }
-    if (!less(entries_[smallest], e)) break;
-    entries_[i] = entries_[smallest];
-    i = smallest;
-  }
-  entries_[i] = e;
-}
-
-void PullHeap::push(double key, std::uint64_t host) {
-  entries_.push_back({key, host});
-  sift_up(entries_.size() - 1);
-}
-
-PullHeap::Entry PullHeap::pop_min() {
-  const Entry top = entries_.front();
-  entries_.front() = entries_.back();
-  entries_.pop_back();
-  if (!entries_.empty()) sift_down(0);
-  return top;
-}
-
-void PullHeap::replace_min(double key, std::uint64_t host) {
-  entries_.front() = {key, host};
-  sift_down(0);
-}
+}  // namespace
 
 DynamicScheduleTotals pull_schedule_dary(ScheduleState& state,
                                          std::span<const double> tasks) {
-  PullHeap heap(std::span<const double>(state.free_at));
   DynamicScheduleTotals totals;
-  if (state.size() == 0) return totals;
+  const std::size_t n = state.size();
+  if (n == 0) return totals;
+  // Seeded from the current free_at column, so a pre-advanced state
+  // continues where it left off.
+  std::vector<IdleHost> seed(n);
+  for (std::size_t h = 0; h < n; ++h) {
+    seed[h] = {state.free_at[h], static_cast<std::uint32_t>(h)};
+  }
+  util::QuadHeap<IdleHost, idles_before> heap;
+  heap.build(std::move(seed));
   for (const double task : tasks) {
-    const PullHeap::Entry top = heap.min();
-    const auto h = static_cast<std::size_t>(top.host);
+    const IdleHost top = heap.min();
+    const std::size_t h = top.host;
     const double days = task * state.inv_rates[h];
     state.busy_days[h] += days;
     totals.total_cpu_days += days;
-    const double done = top.key + days;
+    const double done = top.free_at + days;
     state.free_at[h] = done;
     totals.makespan_days = std::max(totals.makespan_days, done);
-    heap.replace_min(done, top.host);
+    heap.replace_min({done, top.host});
   }
   return totals;
 }

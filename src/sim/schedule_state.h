@@ -15,13 +15,14 @@
 //    cannot beat the current best completion time.
 //  - ect_schedule_reference: the retained scalar loop, bit-identical to
 //    the blocked kernel (the golden oracle for tests/sim/).
-//  - pull_schedule_dary / pull_schedule_reference: kDynamicPull on a flat
-//    4-ary min-heap vs the std::priority_queue oracle; identical pop
-//    order because (free_at, host) keys are totally ordered.
+//  - pull_schedule_dary / pull_schedule_reference: kDynamicPull on the
+//    flat 4-ary util::QuadHeap vs the std::priority_queue oracle;
+//    identical pop order because (free_at, host) keys are totally
+//    ordered.
 //
 // All kernels use task * inv_rates[h] for processing times (the reciprocal
 // column is computed once per run), so every implementation pair agrees
-// bit for bit. schedule_state.cpp is compiled with -ffp-contract=off (see
+// bit for bit. The library is compiled with -ffp-contract=off (see
 // src/CMakeLists.txt): otherwise the compiler may fuse a*b+c into an fma
 // in one loop and not another, and "bit-identical across kernels" would be
 // at the mercy of instruction selection.
@@ -122,52 +123,11 @@ DynamicScheduleTotals ect_schedule_blocked(ScheduleState& state,
 DynamicScheduleTotals ect_schedule_reference(ScheduleState& state,
                                              std::span<const double> tasks);
 
-/// Flat d-ary (d = 4) min-heap of (free_at, host) entries, ordered by key
-/// then host index — the total order makes any correct heap pop the same
-/// sequence as std::priority_queue. Four children per node means half the
-/// tree depth of a binary heap and sift-down comparisons that stay inside
-/// one cache line of 16-byte entries.
-class PullHeap {
- public:
-  struct Entry {
-    double key = 0.0;
-    std::uint64_t host = 0;
-  };
-  static_assert(sizeof(Entry) == 16, "no padding between key and host");
-
-  /// Seeds one (0.0, h) entry per host; ascending hosts at equal keys is
-  /// already heap-ordered, so construction is O(n) with no sifting.
-  explicit PullHeap(std::size_t hosts);
-
-  /// Seeds one (keys[h], h) entry per host and heapifies (Floyd, O(n)) —
-  /// how the pull kernels ingest a state's current free_at column.
-  explicit PullHeap(std::span<const double> keys);
-
-  std::size_t size() const noexcept { return entries_.size(); }
-  bool empty() const noexcept { return entries_.empty(); }
-  const Entry& min() const noexcept { return entries_.front(); }
-
-  void push(double key, std::uint64_t host);
-  Entry pop_min();
-  /// pop_min + push fused into a single sift-down from the root — the
-  /// kDynamicPull inner step (a host re-enters with its new idle time).
-  void replace_min(double key, std::uint64_t host);
-
- private:
-  static constexpr std::size_t kArity = 4;
-  static bool less(const Entry& a, const Entry& b) noexcept {
-    return a.key < b.key || (a.key == b.key && a.host < b.host);
-  }
-  void sift_up(std::size_t i) noexcept;
-  void sift_down(std::size_t i) noexcept;
-
-  std::vector<Entry> entries_;
-};
-
 /// Dynamic pull (list scheduling): the earliest-available host takes the
-/// next task. Flat 4-ary heap kernel seeded from the state's current
-/// free_at (a pre-advanced state continues where it left off); updates
-/// state in place.
+/// next task. Runs on the library's flat 4-ary util::QuadHeap of
+/// (free_at, host) entries, seeded from the state's current free_at (a
+/// pre-advanced state continues where it left off); updates state in
+/// place.
 DynamicScheduleTotals pull_schedule_dary(ScheduleState& state,
                                          std::span<const double> tasks);
 

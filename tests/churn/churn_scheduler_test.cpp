@@ -118,15 +118,11 @@ constexpr InterruptionPolicy kAllPolicies[] = {
 };
 
 /// The kernel configurations the golden suites cycle through: the
-/// shipping default (envelope gate, float32 columns, 8 levels), each
-/// ablation arm, and the lookahead extremes.
+/// shipping default (8 lookahead levels) and the lookahead extremes.
 std::vector<ChurnSchedulerConfig> golden_configs() {
-  std::vector<ChurnSchedulerConfig> configs(5);
-  configs[1].float32_columns = false;
-  configs[2].gate_mode = GateMode::kBucket;
-  configs[2].float32_columns = false;
-  configs[3].lookahead_levels = 1;
-  configs[4].lookahead_levels = kMaxLookaheadLevels;
+  std::vector<ChurnSchedulerConfig> configs(3);
+  configs[1].lookahead_levels = 1;
+  configs[2].lookahead_levels = kMaxLookaheadLevels;
   return configs;
 }
 
@@ -182,9 +178,6 @@ TEST(ChurnScheduler, GoldenStaleEnvelopeEpochs) {
       random_tasks(churn::BoundGate::kStaleLimit * 40, 153);
   for (const InterruptionPolicy policy : kAllPolicies) {
     expect_run_identical(rates, timeline, tasks, policy);
-    ChurnSchedulerConfig f64;
-    f64.float32_columns = false;
-    expect_run_identical(rates, timeline, tasks, policy, f64);
   }
 }
 

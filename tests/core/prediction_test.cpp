@@ -46,7 +46,9 @@ TEST(PredictedMemoryDistribution, IsSortedDistribution) {
   double total = 0.0;
   for (std::size_t i = 0; i < dist.size(); ++i) {
     total += dist[i].probability;
-    if (i > 0) EXPECT_GT(dist[i].memory_mb, dist[i - 1].memory_mb);
+    if (i > 0) {
+      EXPECT_GT(dist[i].memory_mb, dist[i - 1].memory_mb);
+    }
   }
   EXPECT_NEAR(total, 1.0, 1e-12);
 }

@@ -1,10 +1,18 @@
+// The library's one 4-ary heap (util::QuadHeap), exercised through the
+// engine's EventHeap alias and through a plain (key, id) entry like the
+// dynamic-pull kernel's, against sorted and std::priority_queue oracles.
 #include "engine/event_heap.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <functional>
+#include <queue>
+#include <utility>
 #include <vector>
 
+#include "util/quad_heap.h"
 #include "util/rng.h"
 
 namespace resmodel::engine {
@@ -143,6 +151,72 @@ TEST(EventHeap, InterleavedPushPopAgainstReference) {
     }
     ASSERT_EQ(heap.size(), reference.size());
   }
+}
+
+/// A (key, id) entry under the key-then-id order — the shape of the pull
+/// kernel's (free_at, host) entries.
+struct Keyed {
+  double key = 0.0;
+  std::uint64_t id = 0;
+};
+
+bool key_then_id(const Keyed& a, const Keyed& b) noexcept {
+  return a.key < b.key || (a.key == b.key && a.id < b.id);
+}
+
+using KeyedHeap = util::QuadHeap<Keyed, key_then_id>;
+
+TEST(QuadHeap, EqualKeysBuiltInIdOrderPopInIdOrder) {
+  // The pull kernel's cold start: every host idle at 0.
+  std::vector<Keyed> seed(100);
+  for (std::uint64_t h = 0; h < seed.size(); ++h) seed[h] = {0.0, h};
+  KeyedHeap heap;
+  heap.build(seed);
+  for (std::uint64_t h = 0; h < 100; ++h) {
+    const Keyed e = heap.pop_min();
+    EXPECT_EQ(e.key, 0.0);
+    EXPECT_EQ(e.id, h);
+  }
+  EXPECT_TRUE(heap.empty());
+}
+
+TEST(QuadHeap, MatchesPriorityQueueOracle) {
+  // Random interleaved push / pop / replace_min against the STL oracle,
+  // with keys drawn from a tiny set so key ties (broken by id) are
+  // constant.
+  using OracleEntry = std::pair<double, std::uint64_t>;
+  std::priority_queue<OracleEntry, std::vector<OracleEntry>, std::greater<>>
+      oracle;
+  KeyedHeap heap;
+  util::Rng rng(21);
+  std::uint64_t next_id = 0;
+  const auto expect_pop = [&](const Keyed& got) {
+    const OracleEntry want = oracle.top();
+    oracle.pop();
+    EXPECT_EQ(got.key, want.first);
+    EXPECT_EQ(got.id, want.second);
+  };
+  for (int op = 0; op < 4000; ++op) {
+    const double u = rng.uniform();
+    const double key = static_cast<double>(rng.uniform_index(8));
+    if (heap.empty() || u < 0.45) {
+      heap.push({key, next_id});
+      oracle.push({key, next_id});
+      ++next_id;
+    } else if (u < 0.75) {
+      expect_pop(heap.pop_min());
+    } else {
+      // The pull drain step: the minimum re-enters with a later key.
+      const Keyed top = heap.min();
+      expect_pop(top);
+      const Keyed next{top.key + key, top.id};
+      heap.replace_min(next);
+      oracle.push({next.key, next.id});
+    }
+    ASSERT_EQ(heap.size(), oracle.size());
+  }
+  while (!heap.empty()) expect_pop(heap.pop_min());
+  EXPECT_TRUE(oracle.empty());
 }
 
 }  // namespace

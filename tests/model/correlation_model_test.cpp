@@ -221,7 +221,9 @@ TEST(Factory, SpanningFitDatesLieInsideTraceWindow) {
   for (std::size_t i = 0; i < dates.size(); ++i) {
     EXPECT_GT(dates[i].day_index(), 100);
     EXPECT_LT(dates[i].day_index(), 1100);
-    if (i > 0) EXPECT_GT(dates[i].day_index(), dates[i - 1].day_index());
+    if (i > 0) {
+      EXPECT_GT(dates[i].day_index(), dates[i - 1].day_index());
+    }
   }
   EXPECT_TRUE(spanning_fit_dates(trace::TraceStore{}, 4).empty());
 }

@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <queue>
-#include <utility>
 #include <vector>
 
 #include "util/rng.h"
@@ -143,88 +141,6 @@ TEST(EctKernels, SingleHostAccumulatesSequentially) {
   EXPECT_EQ(state.free_at[0], totals.makespan_days);
   EXPECT_EQ(totals.total_cpu_days, totals.makespan_days);
   EXPECT_DOUBLE_EQ(totals.makespan_days, 2.0 + 1.0 + 4.0);
-}
-
-TEST(PullHeap, InitialSeedPopsHostsInOrder) {
-  PullHeap heap(100);
-  for (std::size_t h = 0; h < 100; ++h) {
-    const PullHeap::Entry e = heap.pop_min();
-    EXPECT_EQ(e.key, 0.0);
-    EXPECT_EQ(e.host, h);
-  }
-  EXPECT_TRUE(heap.empty());
-}
-
-TEST(PullHeap, MatchesPriorityQueueOracle) {
-  // Random interleaved push/pop against the STL oracle, with keys drawn
-  // from a tiny set so key ties (broken by host id) are constant.
-  using OracleEntry = std::pair<double, std::uint64_t>;
-  std::priority_queue<OracleEntry, std::vector<OracleEntry>, std::greater<>>
-      oracle;
-  PullHeap heap(0);
-  util::Rng rng(21);
-  std::uint64_t next_host = 0;
-  for (int op = 0; op < 4000; ++op) {
-    if (heap.empty() || rng.uniform() < 0.55) {
-      const double key = static_cast<double>(rng.uniform_index(8));
-      heap.push(key, next_host);
-      oracle.push({key, next_host});
-      ++next_host;
-    } else {
-      const PullHeap::Entry got = heap.pop_min();
-      const OracleEntry want = oracle.top();
-      oracle.pop();
-      EXPECT_EQ(got.key, want.first);
-      EXPECT_EQ(got.host, want.second);
-    }
-  }
-  while (!heap.empty()) {
-    const PullHeap::Entry got = heap.pop_min();
-    const OracleEntry want = oracle.top();
-    oracle.pop();
-    EXPECT_EQ(got.key, want.first);
-    EXPECT_EQ(got.host, want.second);
-  }
-  EXPECT_TRUE(oracle.empty());
-}
-
-TEST(PullHeap, ReplaceMinEquivalentToPopPush) {
-  PullHeap fused(50);
-  PullHeap two_step(50);
-  util::Rng rng(22);
-  for (int op = 0; op < 500; ++op) {
-    const double key = rng.uniform() * 10.0;
-    const std::uint64_t host = fused.min().host;
-    fused.replace_min(key, host);
-    const PullHeap::Entry popped = two_step.pop_min();
-    EXPECT_EQ(popped.host, host);
-    two_step.push(key, host);
-  }
-  while (!fused.empty()) {
-    const PullHeap::Entry a = fused.pop_min();
-    const PullHeap::Entry b = two_step.pop_min();
-    EXPECT_EQ(a.key, b.key);
-    EXPECT_EQ(a.host, b.host);
-  }
-  EXPECT_TRUE(two_step.empty());
-}
-
-TEST(PullHeap, KeySeededConstructorHeapifies) {
-  util::Rng rng(23);
-  std::vector<double> keys(137);
-  for (double& k : keys) k = static_cast<double>(rng.uniform_index(16));
-  PullHeap from_keys{std::span<const double>(keys)};
-  PullHeap pushed(0);
-  for (std::size_t h = 0; h < keys.size(); ++h) {
-    pushed.push(keys[h], h);
-  }
-  while (!from_keys.empty()) {
-    const PullHeap::Entry a = from_keys.pop_min();
-    const PullHeap::Entry b = pushed.pop_min();
-    EXPECT_EQ(a.key, b.key);
-    EXPECT_EQ(a.host, b.host);
-  }
-  EXPECT_TRUE(pushed.empty());
 }
 
 TEST(PullKernels, HonorPreAdvancedFreeAt) {

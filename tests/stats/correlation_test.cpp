@@ -66,10 +66,7 @@ TEST(Spearman, TiesAveraged) {
 
 TEST(CorrelationMatrix, DiagonalIsOneAndSymmetric) {
   util::Rng rng(3);
-  std::vector<NamedColumn> cols(3);
-  cols[0].name = "a";
-  cols[1].name = "b";
-  cols[2].name = "c";
+  std::vector<NamedColumn> cols = {{"a", {}}, {"b", {}}, {"c", {}}};
   for (int i = 0; i < 1000; ++i) {
     const double base = rng.normal();
     cols[0].values.push_back(base);

@@ -1158,9 +1158,11 @@ void print_read_report(std::ostream& out, const store::SnapshotReader& reader,
       << '\n';
   for (const store::LostBlock& lost : report.lost) {
     const auto& schema = reader.schema();
-    const std::string name = lost.column < schema.size()
-                                 ? schema[lost.column].name
-                                 : "#" + std::to_string(lost.column);
+    // Appended, not "#" + to_string(): GCC 12 reports a false -Wrestrict
+    // on operator+(const char*, string&&).
+    std::string name("#");
+    name += std::to_string(lost.column);
+    if (lost.column < schema.size()) name = schema[lost.column].name;
     out << "lost block: column " << name << ", shard " << lost.shard << " ("
         << lost.rows << " rows): " << to_string(lost.reason) << '\n';
   }
