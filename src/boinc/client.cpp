@@ -1,10 +1,6 @@
 #include "boinc/client.h"
 
-#include <algorithm>
-#include <cmath>
 #include <stdexcept>
-
-#include "stats/distributions.h"
 
 namespace resmodel::boinc {
 
@@ -29,143 +25,29 @@ void ClientConfig::validate() const {
     throw std::invalid_argument(
         "ClientConfig: straggler_slowdown must be >= 1");
   }
+  if (fault == sim::FaultType::kCrash && !model_availability) {
+    throw std::invalid_argument(
+        "ClientConfig: crash faults need model_availability (a crash "
+        "loses work only when an ON session ends)");
+  }
+  if (model_availability) availability.validate();
 }
 
 VirtualClient::VirtualClient(trace::HostRecord spec, ClientConfig config,
                              util::Rng rng)
     : spec_(spec),
       config_(config),
-      rng_(rng),
-      next_contact_day_(static_cast<double>(spec.created_day)),
-      current_disk_avail_gb_(spec.disk_avail_gb),
-      last_contact_day_done_(static_cast<double>(spec.created_day)),
-      on_interval_end_(static_cast<double>(spec.created_day)) {
+      host_(spec, config.fault, config.straggler_slowdown) {
   config_.validate();
-  if (config_.model_availability) {
-    config_.availability.validate();
-    // The first contact happens while the host is up: start an ON
-    // interval at birth.
-    const stats::WeibullDist on_dist(config_.availability.on_weibull_k,
-                                     config_.availability.on_weibull_lambda);
-    on_interval_end_ =
-        next_contact_day_ + std::max(1e-6, on_dist.sample(rng_));
-    draw_session_benchmarks();
-  }
-}
-
-void VirtualClient::draw_session_benchmarks() {
-  session_dhrystone_mips_ =
-      spec_.dhrystone_mips *
-      std::exp(rng_.normal(0.0, config_.benchmark_jitter_sigma));
-  session_whetstone_mips_ =
-      spec_.whetstone_mips *
-      std::exp(rng_.normal(0.0, config_.benchmark_jitter_sigma));
-}
-
-void VirtualClient::defer_to_available() {
-  if (!config_.model_availability) return;
-  const stats::WeibullDist on_dist(config_.availability.on_weibull_k,
-                                   config_.availability.on_weibull_lambda);
-  const stats::LogNormalDist off_dist(config_.availability.off_lognormal_mu,
-                                      config_.availability.off_lognormal_sigma);
-  bool crossed = false;
-  while (next_contact_day_ > on_interval_end_) {
-    // Crossing an ON-session boundary kills whatever a crash-faulty
-    // client had in flight. The loss is recorded here but applied at the
-    // start of the next make_request, after the previous contact's grant
-    // has landed via handle_reply.
-    session_died_since_last_contact_ = true;
-    crossed = true;
-    const double off_len = std::max(1e-6, off_dist.sample(rng_));
-    const double on_start = on_interval_end_ + off_len;
-    const double on_len = std::max(1e-6, on_dist.sample(rng_));
-    if (next_contact_day_ < on_start) next_contact_day_ = on_start;
-    on_interval_end_ = on_start + on_len;
-  }
-  // The next contact runs in a fresh session: the restarted client
-  // re-benchmarks once, and every contact of that session reuses the pair.
-  if (crossed) draw_session_benchmarks();
+  state_ = ClientState(spec_, rng, config_);
 }
 
 SchedulerRequest VirtualClient::make_request() {
-  SchedulerRequest request;
-  request.host_id = spec_.id;
-  request.day = static_cast<std::int32_t>(std::floor(next_contact_day_));
-
-  // A crash-faulty client that died since the last contact lost its whole
-  // queue: nothing completes, and the server is told how much to write
-  // off. Honest/straggler/corrupter clients survive session boundaries
-  // (BOINC checkpoints across restarts; crash clients model hosts that
-  // don't).
-  if (config_.fault == sim::FaultType::kCrash &&
-      session_died_since_last_contact_) {
-    request.lost_work_units = queued_units_;
-    queued_units_ = 0;
-  }
-  session_died_since_last_contact_ = false;
-
-  // Re-measure: fixed hardware, jittered benchmarks, drifting disk. With
-  // the availability model the benchmark pair is the current session's
-  // cached measurement; without it (no session structure) the jitter is
-  // drawn per contact, as before.
-  HostMeasurement& m = request.measurement;
-  m.n_cores = spec_.n_cores;
-  m.memory_mb = spec_.memory_mb;
-  if (config_.model_availability) {
-    m.dhrystone_mips = session_dhrystone_mips_;
-    m.whetstone_mips = session_whetstone_mips_;
-  } else {
-    m.dhrystone_mips =
-        spec_.dhrystone_mips *
-        std::exp(rng_.normal(0.0, config_.benchmark_jitter_sigma));
-    m.whetstone_mips =
-        spec_.whetstone_mips *
-        std::exp(rng_.normal(0.0, config_.benchmark_jitter_sigma));
-  }
-  current_disk_avail_gb_ *=
-      std::exp(rng_.normal(0.0, config_.disk_drift_sigma));
-  current_disk_avail_gb_ =
-      std::clamp(current_disk_avail_gb_, 0.01, spec_.disk_total_gb);
-  m.disk_avail_gb = current_disk_avail_gb_;
-  m.disk_total_gb = spec_.disk_total_gb;
-  m.cpu = spec_.cpu;
-  m.os = spec_.os;
-  m.gpu = spec_.gpu;
-  m.gpu_memory_mb = spec_.gpu_memory_mb;
-
-  // Work completed since the last contact: everything that fit in the
-  // elapsed wall time at the host's speed (bounded by the local queue).
-  // Stragglers benchmark fast but run slow: the measurement above keeps
-  // its jittered-true value while actual throughput is derated.
-  const double elapsed_days = next_contact_day_ - last_contact_day_done_;
-  double units_per_day = m.n_cores * spec_.whetstone_mips / 4000.0;
-  if (config_.fault == sim::FaultType::kStraggler) {
-    units_per_day /= config_.straggler_slowdown;
-  }
-  const auto doable = static_cast<std::uint32_t>(
-      std::clamp(elapsed_days * units_per_day, 0.0, 1e6));
-  request.completed_work_units = std::min(doable, queued_units_);
-  queued_units_ -= request.completed_work_units;
-
-  if (request.completed_work_units > 0) {
-    const std::uint64_t payload =
-        result_payload(spec_.id, request.completed_work_units);
-    request.result_digest = config_.fault == sim::FaultType::kCorrupter
-                                ? sim::corrupted_digest(payload, spec_.id)
-                                : sim::canonical_digest(payload);
-  }
-
-  request.requested_work_seconds = config_.work_request_seconds;
-
-  last_contact_day_done_ = next_contact_day_;
-  next_contact_day_ +=
-      rng_.exponential(1.0 / config_.mean_contact_interval_days);
-  defer_to_available();
-  return request;
+  return client_contact(state_, host_, config_);
 }
 
 void VirtualClient::handle_reply(const SchedulerReply& reply) noexcept {
-  queued_units_ += reply.granted_work_units;
+  state_.queued_units += reply.granted_work_units;
 }
 
 }  // namespace resmodel::boinc

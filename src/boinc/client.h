@@ -9,6 +9,7 @@
 // model there are no sessions and the jitter stays per-contact.
 #pragma once
 
+#include "boinc/contact.h"
 #include "boinc/messages.h"
 #include "sim/fault_model.h"
 #include "synth/availability.h"
@@ -45,8 +46,9 @@ struct ClientConfig {
   double straggler_slowdown = 1.0;  ///< >= 1; only read for kStraggler
 
   /// Throws std::invalid_argument on negative jitter/drift sigmas, a
-  /// non-positive contact interval, negative requested seconds, or a
-  /// straggler slowdown below 1.
+  /// non-positive contact interval, negative requested seconds, a
+  /// straggler slowdown below 1, a crash fault without
+  /// model_availability, or (with it) invalid availability parameters.
   void validate() const;
 };
 
@@ -59,15 +61,15 @@ class VirtualClient {
 
   std::uint64_t id() const noexcept { return spec_.id; }
 
-  /// Day of the next scheduled contact, or a negative value if the host
-  /// has died.
-  double next_contact_day() const noexcept { return next_contact_day_; }
+  /// Day of the next scheduled contact (past the death day once the host
+  /// has died).
+  double next_contact_day() const noexcept { return state_.next_contact_day; }
   bool alive() const noexcept {
-    return next_contact_day_ <= spec_.last_contact_day;
+    return state_.next_contact_day <= spec_.last_contact_day;
   }
 
   /// Produces the request for the current contact and schedules the next
-  /// one. Call only while alive().
+  /// one (the client half of boinc/contact.h). Call only while alive().
   SchedulerRequest make_request();
 
   /// Delivers the server's reply (queues granted work).
@@ -76,31 +78,10 @@ class VirtualClient {
   const trace::HostRecord& spec() const noexcept { return spec_; }
 
  private:
-  /// Advances the ON/OFF state machine so next_contact_day_ lands inside
-  /// an ON interval (no-op unless config_.model_availability).
-  void defer_to_available();
-
-  /// Draws the session benchmark pair (dhrystone then whetstone, one
-  /// log-normal jitter each) for the ON session just entered.
-  void draw_session_benchmarks();
-
   trace::HostRecord spec_;
   ClientConfig config_;
-  util::Rng rng_;
-  double next_contact_day_ = 0.0;
-  double current_disk_avail_gb_ = 0.0;
-  /// The benchmark scores of the current ON session (availability mode
-  /// only): drawn at construction and redrawn by defer_to_available
-  /// whenever the session boundary is crossed.
-  double session_dhrystone_mips_ = 0.0;
-  double session_whetstone_mips_ = 0.0;
-  std::uint32_t queued_units_ = 0;
-  double last_contact_day_done_ = 0.0;
-  double on_interval_end_ = 0.0;  ///< end of the current ON interval
-  /// Set when defer_to_available crosses an ON-session boundary; a kCrash
-  /// client applies the loss at the START of the next make_request (the
-  /// grant from the previous contact has already landed by then).
-  bool session_died_since_last_contact_ = false;
+  ClientHost host_;
+  ClientState state_;
 };
 
 }  // namespace resmodel::boinc

@@ -1,29 +1,10 @@
 #include "boinc/server.h"
 
 #include <algorithm>
-#include <limits>
-
-#include "sim/fault_model.h"
 
 namespace resmodel::boinc {
 
-std::uint32_t ProjectServer::consume_grants(HostState& state,
-                                            std::uint32_t units) {
-  std::uint32_t consumed = std::min(units, state.queued_units);
-  state.queued_units -= consumed;
-  std::uint32_t left = consumed;
-  while (left > 0 && !state.grants.empty()) {
-    std::uint32_t& granted = state.grants.front().second;
-    const std::uint32_t take = std::min(left, granted);
-    granted -= take;
-    left -= take;
-    if (granted == 0) state.grants.pop_front();
-  }
-  return consumed;
-}
-
 SchedulerReply ProjectServer::handle_request(const SchedulerRequest& request) {
-  ++total_contacts_;
   auto [it, inserted] = records_.try_emplace(request.host_id);
   HostState& state = it->second;
   const HostMeasurement& m = request.measurement;
@@ -47,63 +28,14 @@ SchedulerReply ProjectServer::handle_request(const SchedulerRequest& request) {
   state.record.gpu = m.gpu;
   state.record.gpu_memory_mb = m.gpu_memory_mb;
 
+  const Settlement s =
+      server_contact(state.queued_units, state.grants, config_, request);
+  totals_.add(s);
+
   SchedulerReply reply;
-
-  // Validate the reported batch before crediting: a digest that does not
-  // match the canonical digest of (host, batch size) marks the whole
-  // batch invalid. The units still leave the host's queue — the work was
-  // consumed, it just earns nothing.
-  if (request.completed_work_units > 0) {
-    const std::uint64_t expected = sim::canonical_digest(
-        result_payload(request.host_id, request.completed_work_units));
-    reply.result_valid = request.result_digest == expected;
-  }
-
-  // Credit the completed units (validated batches only).
-  const std::uint32_t completed =
-      consume_grants(state, request.completed_work_units);
-  if (reply.result_valid) {
-    reply.granted_credit = completed * config_.credit_per_unit;
-    state.credit += reply.granted_credit;
-    total_credit_granted_ += reply.granted_credit;
-  } else {
-    total_invalid_result_units_ += completed;
-  }
-
-  // Write off units the host reported lost to a session death.
-  total_units_lost_ += consume_grants(state, request.lost_work_units);
-
-  // Expire grants whose report deadline has passed; the freed room lets
-  // the grant below re-issue that work to (possibly) this same host.
-  while (!state.grants.empty() && state.grants.front().first < request.day) {
-    total_units_expired_ += state.grants.front().second;
-    state.queued_units -= std::min(state.queued_units,
-                                   state.grants.front().second);
-    state.grants.pop_front();
-  }
-
-  // Grant new work sized to the host's measured speed: enough units to
-  // cover the requested seconds of computation, capped by the queue limit.
-  const double units_per_day =
-      m.n_cores * m.whetstone_mips / config_.work_unit_cost_mips_days;
-  const double requested_days = request.requested_work_seconds / 86400.0;
-  const auto wanted = static_cast<std::uint32_t>(
-      std::clamp(units_per_day * requested_days, 0.0, 1e6));
-  const std::uint32_t room = config_.max_queued_units > state.queued_units
-                                 ? config_.max_queued_units -
-                                       state.queued_units
-                                 : 0;
-  reply.granted_work_units = std::min(wanted, room);
-  state.queued_units += reply.granted_work_units;
-  total_units_granted_ += reply.granted_work_units;
-  if (reply.granted_work_units > 0) {
-    const double expiry =
-        config_.report_deadline_days > 0.0
-            ? request.day + config_.report_deadline_days
-            : std::numeric_limits<double>::infinity();
-    state.grants.emplace_back(expiry, reply.granted_work_units);
-  }
-
+  reply.granted_work_units = s.granted;
+  reply.granted_credit = s.credit;
+  reply.result_valid = s.result_valid;
   reply.next_contact_delay_days = config_.contact_interval_days;
   return reply;
 }

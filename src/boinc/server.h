@@ -5,10 +5,9 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <unordered_map>
-#include <utility>
 
+#include "boinc/contact.h"
 #include "boinc/messages.h"
 #include "trace/trace_store.h"
 
@@ -37,29 +36,29 @@ class ProjectServer {
  public:
   explicit ProjectServer(ServerConfig config = {}) : config_(config) {}
 
-  /// Handles one scheduler request: upserts the host's trace record,
-  /// grants credit for completed work, and assigns new work units.
+  /// Handles one scheduler request: upserts the host's trace record, then
+  /// runs the server half of boinc/contact.h over the host's books.
   SchedulerReply handle_request(const SchedulerRequest& request);
 
   /// Number of distinct hosts that ever contacted the server.
   std::size_t host_count() const noexcept { return records_.size(); }
 
-  std::uint64_t total_contacts() const noexcept { return total_contacts_; }
+  std::uint64_t total_contacts() const noexcept { return totals_.contacts; }
   std::uint64_t total_units_granted() const noexcept {
-    return total_units_granted_;
+    return totals_.units_granted;
   }
   double total_credit_granted() const noexcept {
-    return total_credit_granted_;
+    return totals_.credit_granted;
   }
   /// Units written off because a host reported them lost (crash faults).
-  std::uint64_t total_units_lost() const noexcept { return total_units_lost_; }
+  std::uint64_t total_units_lost() const noexcept { return totals_.units_lost; }
   /// Units written off because their report deadline passed.
   std::uint64_t total_units_expired() const noexcept {
-    return total_units_expired_;
+    return totals_.units_expired;
   }
   /// Completed units rejected for a digest mismatch (corrupter faults).
   std::uint64_t total_invalid_result_units() const noexcept {
-    return total_invalid_result_units_;
+    return totals_.units_invalid;
   }
 
   /// The periodic public dump: one record per host with its most recent
@@ -70,25 +69,12 @@ class ProjectServer {
   struct HostState {
     trace::HostRecord record;
     std::uint32_t queued_units = 0;
-    double credit = 0.0;
-    /// Outstanding grants, FIFO: {expiry_day, units}. Completions, loss
-    /// write-offs, and expiries all consume from the front — the oldest
-    /// grant is always the first to finish or die.
-    std::deque<std::pair<double, std::uint32_t>> grants;
+    GrantFifo grants;
   };
-
-  /// Pops `units` from the front of `state.grants`, keeping queued_units
-  /// in sync. Returns the number actually consumed.
-  static std::uint32_t consume_grants(HostState& state, std::uint32_t units);
 
   ServerConfig config_;
   std::unordered_map<std::uint64_t, HostState> records_;
-  std::uint64_t total_contacts_ = 0;
-  std::uint64_t total_units_granted_ = 0;
-  double total_credit_granted_ = 0.0;
-  std::uint64_t total_units_lost_ = 0;
-  std::uint64_t total_units_expired_ = 0;
-  std::uint64_t total_invalid_result_units_ = 0;
+  ContactTotals totals_;
 };
 
 }  // namespace resmodel::boinc

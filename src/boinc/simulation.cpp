@@ -4,6 +4,7 @@
 #include <memory>
 #include <numbers>
 #include <queue>
+#include <stdexcept>
 #include <vector>
 
 #include "core/host_generator.h"
@@ -26,9 +27,29 @@ struct EventLater {
 
 }  // namespace
 
+void CollectionConfig::validate() const {
+  fault_mix.validate();
+  client.validate();
+  if (fault_mix.crash_fraction > 0.0 && !client.model_availability) {
+    throw std::invalid_argument(
+        "CollectionConfig: crash faults need client.model_availability (a "
+        "crash loses work only when an ON session ends)");
+  }
+}
+
+void finish_arrival(ArrivedClient& client, const sim::FaultMixConfig& mix,
+                    util::Rng& stream) {
+  if (mix.any()) {
+    util::Rng fault_rng = stream.fork();
+    const sim::FaultDraw draw = sim::sample_fault(mix, fault_rng);
+    client.fault = draw.type;
+    client.straggler_slowdown = draw.slowdown;
+  }
+  client.rng = stream.fork();
+}
+
 std::vector<ArrivedClient> build_arrivals(const CollectionConfig& config) {
-  config.fault_mix.validate();
-  config.client.validate();
+  config.validate();
   const synth::PopulationConfig& pop = config.population;
   util::Rng rng(pop.seed ^ 0x9e3779b97f4a7c15ULL);
   const core::HostGenerator generator(pop.model);
@@ -61,16 +82,7 @@ std::vector<ArrivedClient> build_arrivals(const CollectionConfig& config) {
       // The spec's last_contact_day is the host's death day; the client
       // stops contacting after it.
       client.spec = synth::finish_host(pop, hw.host(i), date, next_id++, rng);
-      if (config.fault_mix.any()) {
-        // Fault fork first, client fork second — both from the arrival
-        // stream, so the client's own rng only shifts when faults are on.
-        util::Rng fault_rng = rng.fork();
-        const sim::FaultDraw draw =
-            sim::sample_fault(config.fault_mix, fault_rng);
-        client.fault = draw.type;
-        client.straggler_slowdown = draw.slowdown;
-      }
-      client.rng = rng.fork();
+      finish_arrival(client, config.fault_mix, rng);
       clients.push_back(std::move(client));
     }
   }

@@ -36,6 +36,11 @@ struct CollectionConfig {
   /// round-robin allocator and reported in
   /// CollectionResult::final_allocation.
   bool allocate_final_utility = false;
+
+  /// Validates the fault mix and the client template, and rejects crash
+  /// faults without client.model_availability (a crash loses work only
+  /// when an ON session ends). Throws std::invalid_argument.
+  void validate() const;
 };
 
 struct CollectionResult {
@@ -68,19 +73,27 @@ struct ArrivedClient {
   util::Rng rng;
 };
 
+/// The wrap-up both population builders give each client after drawing
+/// its spec from `stream`: the fault draw from a dedicated fork when `mix`
+/// injects faults, then the client's own fork.
+void finish_arrival(ArrivedClient& client, const sim::FaultMixConfig& mix,
+                    util::Rng& stream);
+
 /// Materializes the arrival process of the configured window: the
 /// day-batched Poisson arrivals, hardware draws, fault draws and
 /// per-client rng forks, consuming the master stream exactly as
 /// run_collection does. The returned clients (in creation order) are
 /// bit-identical to the ones run_collection constructs — the engine
 /// (src/engine/) and the oracle share this path, so their populations
-/// cannot drift apart. Validates the fault mix and client template.
+/// cannot drift apart. Runs CollectionConfig::validate.
 std::vector<ArrivedClient> build_arrivals(const CollectionConfig& config);
 
 /// Runs the full collection window. Deterministic for a fixed config.
-/// Retained as the golden reference oracle for engine::run_service_engine
-/// (see src/engine/README.md): single-threaded, one VirtualClient and one
-/// ProjectServer exchange per event, trivially auditable.
+/// Retained as the driver oracle for engine::run_service_engine (see
+/// src/engine/README.md): single-threaded, one global event queue, one
+/// VirtualClient and one ProjectServer exchange per event — the same
+/// contact kernel the engine runs, under trivially auditable event
+/// order, without shards, folds or checkpoints.
 CollectionResult run_collection(const CollectionConfig& config);
 
 }  // namespace resmodel::boinc

@@ -18,107 +18,68 @@ namespace {
 constexpr std::uint32_t kHeaderMagic = 0x43474E45u;  // "ENGC"
 constexpr std::uint32_t kHeaderVersion = 1;
 
-void serialize_meta(std::vector<std::byte>& out, const CheckpointMeta& meta) {
-  StateWriter w(out);
-  w.put_u32(kHeaderMagic);
-  w.put_u32(kHeaderVersion);
-
-  const boinc::ClientConfig& cc = meta.params.client;
-  w.put_f64(cc.mean_contact_interval_days);
-  w.put_f64(cc.benchmark_jitter_sigma);
-  w.put_f64(cc.disk_drift_sigma);
-  w.put_f64(cc.work_request_seconds);
-  w.put_u8(cc.model_availability ? 1 : 0);
-  w.put_f64(cc.availability.on_weibull_k);
-  w.put_f64(cc.availability.on_weibull_lambda);
-  w.put_f64(cc.availability.off_lognormal_mu);
-  w.put_f64(cc.availability.off_lognormal_sigma);
-  w.put_u8(static_cast<std::uint8_t>(cc.fault));
-  w.put_f64(cc.straggler_slowdown);
-
-  const boinc::ServerConfig& sc = meta.params.server;
-  w.put_f64(sc.work_unit_cost_mips_days);
-  w.put_u32(sc.max_queued_units);
-  w.put_f64(sc.credit_per_unit);
-  w.put_f64(sc.contact_interval_days);
-  w.put_f64(sc.report_deadline_days);
-
-  w.put_f64(meta.params.limit_day);
-  w.put_u32(meta.params.batch_size);
-  w.put_u8(meta.params.emit_day_records ? 1 : 0);
-
-  const sim::ReplicationConfig& rep = meta.replication;
-  w.put_u8(rep.enabled ? 1 : 0);
-  w.put_u32(rep.replicas);
-  w.put_u32(rep.quorum);
-  w.put_f64(rep.deadline_days);
-  w.put_f64(rep.backoff);
-  w.put_u32(rep.max_retries);
-
-  w.put_u64(meta.clients_total);
-  w.put_u32(meta.n_shards);
-  w.put_i32(meta.first_day);
-  w.put_i32(meta.resume_day);
-  w.put_u32(meta.display_shards);
-  w.put_u64(meta.cohort_clients);
-  w.put_f64(meta.cohort_horizon_days);
-  w.put_u64(meta.seed);
-}
-
-CheckpointMeta parse_meta(std::span<const std::byte> blob) {
-  StateReader r(blob);
-  const std::uint32_t magic = r.get_u32();
+/// The run-header wire format, walked by write_checkpoint and parse_meta.
+template <typename Meta, typename Io>
+void meta_fields(Meta& meta, Io& io) {
+  std::uint32_t magic = kHeaderMagic;
+  io.field(magic);
   if (magic != kHeaderMagic) {
     throw std::runtime_error("run header magic mismatch");
   }
-  const std::uint32_t version = r.get_u32();
+  std::uint32_t version = kHeaderVersion;
+  io.field(version);
   if (version != kHeaderVersion) {
     throw std::runtime_error("run header version " + std::to_string(version) +
                              ", this build reads version " +
                              std::to_string(kHeaderVersion));
   }
 
+  auto& cc = meta.params.client;
+  io.field(cc.mean_contact_interval_days);
+  io.field(cc.benchmark_jitter_sigma);
+  io.field(cc.disk_drift_sigma);
+  io.field(cc.work_request_seconds);
+  io.field(cc.model_availability);
+  io.field(cc.availability.on_weibull_k);
+  io.field(cc.availability.on_weibull_lambda);
+  io.field(cc.availability.off_lognormal_mu);
+  io.field(cc.availability.off_lognormal_sigma);
+  io.field(cc.fault);
+  io.field(cc.straggler_slowdown);
+
+  auto& sc = meta.params.server;
+  io.field(sc.work_unit_cost_mips_days);
+  io.field(sc.max_queued_units);
+  io.field(sc.credit_per_unit);
+  io.field(sc.contact_interval_days);
+  io.field(sc.report_deadline_days);
+
+  io.field(meta.params.limit_day);
+  io.field(meta.params.batch_size);
+  io.field(meta.params.emit_day_records);
+
+  auto& rep = meta.replication;
+  io.field(rep.enabled);
+  io.field(rep.replicas);
+  io.field(rep.quorum);
+  io.field(rep.deadline_days);
+  io.field(rep.backoff);
+  io.field(rep.max_retries);
+
+  io.field(meta.clients_total);
+  io.field(meta.n_shards);
+  io.field(meta.first_day);
+  io.field(meta.resume_day);
+  io.field(meta.display_shards);
+  io.field(meta.cohort_clients);
+  io.field(meta.cohort_horizon_days);
+  io.field(meta.seed);
+}
+
+CheckpointMeta parse_meta(std::span<const std::byte> blob) {
   CheckpointMeta meta;
-  boinc::ClientConfig& cc = meta.params.client;
-  cc.mean_contact_interval_days = r.get_f64();
-  cc.benchmark_jitter_sigma = r.get_f64();
-  cc.disk_drift_sigma = r.get_f64();
-  cc.work_request_seconds = r.get_f64();
-  cc.model_availability = r.get_u8() != 0;
-  cc.availability.on_weibull_k = r.get_f64();
-  cc.availability.on_weibull_lambda = r.get_f64();
-  cc.availability.off_lognormal_mu = r.get_f64();
-  cc.availability.off_lognormal_sigma = r.get_f64();
-  cc.fault = static_cast<sim::FaultType>(r.get_u8());
-  cc.straggler_slowdown = r.get_f64();
-
-  boinc::ServerConfig& sc = meta.params.server;
-  sc.work_unit_cost_mips_days = r.get_f64();
-  sc.max_queued_units = r.get_u32();
-  sc.credit_per_unit = r.get_f64();
-  sc.contact_interval_days = r.get_f64();
-  sc.report_deadline_days = r.get_f64();
-
-  meta.params.limit_day = r.get_f64();
-  meta.params.batch_size = r.get_u32();
-  meta.params.emit_day_records = r.get_u8() != 0;
-
-  sim::ReplicationConfig& rep = meta.replication;
-  rep.enabled = r.get_u8() != 0;
-  rep.replicas = r.get_u32();
-  rep.quorum = r.get_u32();
-  rep.deadline_days = r.get_f64();
-  rep.backoff = r.get_f64();
-  rep.max_retries = r.get_u32();
-
-  meta.clients_total = r.get_u64();
-  meta.n_shards = r.get_u32();
-  meta.first_day = r.get_i32();
-  meta.resume_day = r.get_i32();
-  meta.display_shards = r.get_u32();
-  meta.cohort_clients = r.get_u64();
-  meta.cohort_horizon_days = r.get_f64();
-  meta.seed = r.get_u64();
+  StateReader r(blob);
+  meta_fields(meta, r);
   r.expect_end();
   return meta;
 }
@@ -187,7 +148,8 @@ void write_checkpoint(const std::string& path, const CheckpointMeta& meta,
     blob.clear();
   };
 
-  serialize_meta(blob, meta);
+  StateWriter header(blob);
+  meta_fields(meta, header);
   append();
   for (const ClientShard& shard : shards) {
     shard.serialize_state(blob);

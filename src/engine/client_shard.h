@@ -1,15 +1,15 @@
 // One shard of the service engine: a contiguous slice of the client
-// population held as columnar arrays, with a virtual-time event heap over
-// the clients' next scheduler contacts.
+// population, with a virtual-time event heap over the clients' next
+// scheduler contacts.
 //
-// A shard replays the SAME contact protocol as the boinc::VirtualClient /
-// boinc::ProjectServer pair (the golden oracle in boinc/simulation.h),
-// but batched: instead of one client object and one server map entry per
-// host, every per-client and per-host-state field lives in a flat column
-// indexed by the shard-local client index. The per-host server state is
-// independent across hosts, so draining shards concurrently produces
-// bit-identical per-client outcomes to the oracle's single event queue —
-// the engine's core determinism argument (see src/engine/README.md).
+// A shard runs every contact through the same kernel (boinc/contact.h) as
+// the boinc::VirtualClient / boinc::ProjectServer pair, but batched: the
+// client hosts and states live in flat vectors and the per-host server
+// books in columns, all indexed by the shard-local client index. The
+// per-host server state is independent across hosts, so draining shards
+// concurrently produces bit-identical per-client outcomes to the driver
+// oracle's single event queue — the engine's core determinism argument
+// (see src/engine/README.md).
 //
 // Invariants checked while draining (std::logic_error on violation):
 //  - virtual-time monotonicity: popped events strictly increase in
@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "boinc/client.h"
+#include "boinc/contact.h"
 #include "boinc/server.h"
 #include "boinc/simulation.h"
 #include "engine/event_heap.h"
@@ -48,14 +49,7 @@ struct ShardParams {
 };
 
 /// Monotone unit/credit counters of one shard.
-struct ShardTotals {
-  std::uint64_t contacts = 0;
-  std::uint64_t units_granted = 0;
-  std::uint64_t units_reported = 0;  ///< completed, validated, credited
-  std::uint64_t units_invalid = 0;   ///< completed but digest-rejected
-  std::uint64_t units_lost = 0;      ///< crash write-offs
-  std::uint64_t units_expired = 0;   ///< deadline write-offs
-  double credit_granted = 0.0;
+struct ShardTotals : boinc::ContactTotals {
   std::uint64_t batches_drained = 0;
 };
 
@@ -76,10 +70,9 @@ struct ClientAccount {
 class ClientShard {
  public:
   /// Adopts `clients` (a contiguous slice of the global population, whose
-  /// first element has global index `global_base`) into columns and seeds
-  /// the event heap with their birth contacts. Replays each client's
-  /// VirtualClient construction draws, so the shard's rng columns are
-  /// bit-identical to freshly built clients. Validates the templates.
+  /// first element has global index `global_base`) and seeds the event
+  /// heap with their birth contacts. Each client state makes the same
+  /// construction draws as a VirtualClient's. Validates the templates.
   ClientShard(const ShardParams& params,
               std::span<const boinc::ArrivedClient> clients,
               std::uint32_t global_base);
@@ -100,7 +93,7 @@ class ClientShard {
   /// drop quorum records on resume).
   void serialize_state(std::vector<std::byte>& out) const;
 
-  std::size_t size() const noexcept { return id_.size(); }
+  std::size_t size() const noexcept { return hosts_.size(); }
   bool drained() const noexcept { return heap_.empty(); }
 
   /// Pops and processes every event with virtual time < day_end (pass
@@ -125,79 +118,34 @@ class ClientShard {
   ClientAccount account(std::size_t i) const;
 
  private:
-  /// Outstanding grants of one client, FIFO: {expiry_day, units}. A flat
-  /// vector with a head cursor stands in for the oracle's std::deque; the
-  /// live tail is bounded by max_queued_units (every entry holds >= 1
-  /// unit), and the dead prefix is compacted once it outgrows the tail.
-  struct GrantFifo {
-    std::vector<std::pair<double, std::uint32_t>> entries;
-    std::size_t head = 0;
-
-    bool empty() const noexcept { return head == entries.size(); }
-    std::pair<double, std::uint32_t>& front() noexcept {
-      return entries[head];
-    }
-    void pop_front() noexcept {
-      if (++head == entries.size()) {
-        entries.clear();
-        head = 0;
-      } else if (head >= 64) {
-        entries.erase(entries.begin(),
-                      entries.begin() + static_cast<std::ptrdiff_t>(head));
-        head = 0;
-      }
-    }
-  };
-
-  /// One scheduler contact of client `i` at virtual time `t`: the
-  /// client-side request (crash loss, measurement, completion, digest,
-  /// next-contact scheduling) followed by the server-side handling
-  /// (upsert, validate, credit, write-offs, expiry, grant) — a line-for-
-  /// line mirror of VirtualClient::make_request + handle_request.
-  void contact_step(std::uint32_t i, double t);
-
-  /// Redraws client i's session benchmark pair (dhrystone then
-  /// whetstone) — VirtualClient::draw_session_benchmarks.
-  void draw_session_benchmarks(std::uint32_t i);
-
-  /// Pops `units` from the front of client i's grant FIFO, keeping
-  /// server_queued_[i] in sync — ProjectServer::consume_grants.
-  std::uint32_t consume_grants(std::uint32_t i, std::uint32_t units);
+  /// One scheduler contact of client `i` at its next_contact_day: the
+  /// boinc/contact.h client and server halves, then the trace-column
+  /// upsert, the counters and the day-record emission.
+  void contact_step(std::uint32_t i);
 
   /// Full recount of the conservation invariant (std::logic_error).
   void check_conservation() const;
 
+  /// The serialize_state wire format, walked by the writer and by the
+  /// restoring constructor. `in_heap` is the per-client heap membership:
+  /// derived from the heap on write, read back for the rebuild on restore.
+  template <typename Shard, typename Io>
+  static void state_fields(Shard& shard, Io& io,
+                           std::vector<std::uint8_t>& in_heap);
+
   ShardParams params_;
   std::uint32_t global_base_ = 0;
 
-  // Host spec columns (fixed at construction).
-  std::vector<std::uint64_t> id_;
+  // Per-client protocol state (boinc/contact.h): fixed host facts and
+  // lifetime, then the mutable client state.
+  std::vector<boinc::ClientHost> hosts_;
   std::vector<std::int32_t> created_day_;
   std::vector<double> death_day_;
-  std::vector<std::int32_t> n_cores_;
-  std::vector<double> memory_mb_;
-  std::vector<double> spec_dhrystone_;
-  std::vector<double> spec_whetstone_;
-  std::vector<double> disk_total_;
-  std::vector<trace::CpuFamily> cpu_;
-  std::vector<trace::OsFamily> os_;
-  std::vector<trace::GpuType> gpu_;
-  std::vector<double> gpu_memory_mb_;
-  std::vector<sim::FaultType> fault_;
-  std::vector<double> slowdown_;
+  std::vector<boinc::ClientState> clients_;
 
-  // Client-side state columns (VirtualClient's members).
-  std::vector<util::Rng> rng_;
-  std::vector<double> next_contact_;
-  std::vector<double> last_done_;
-  std::vector<double> on_end_;
-  std::vector<double> disk_cur_;
-  std::vector<double> session_dhrystone_;
-  std::vector<double> session_whetstone_;
-  std::vector<std::uint32_t> client_queued_;
-  std::vector<std::uint8_t> session_died_;
-
-  // Server-side per-host state columns (ProjectServer::HostState).
+  // Server-side per-host state columns (ProjectServer::HostState). They
+  // stay columnar: the conservation recount sums server_queued_ after
+  // every drained batch.
   std::vector<std::uint8_t> contacted_;
   std::vector<std::int32_t> rec_first_day_;
   std::vector<std::int32_t> rec_last_day_;
@@ -205,16 +153,10 @@ class ClientShard {
   std::vector<double> meas_whetstone_;
   std::vector<double> meas_disk_;
   std::vector<std::uint32_t> server_queued_;
-  std::vector<double> credit_;
-  std::vector<GrantFifo> grants_;
+  std::vector<boinc::GrantFifo> grants_;
 
-  // Per-client unit counters (the oracle-equivalence accounts).
-  std::vector<std::uint32_t> n_contacts_;
-  std::vector<std::uint32_t> n_granted_;
-  std::vector<std::uint32_t> n_reported_;
-  std::vector<std::uint32_t> n_invalid_;
-  std::vector<std::uint32_t> n_lost_;
-  std::vector<std::uint32_t> n_expired_;
+  // Per-client unit and credit counters (the oracle-equivalence accounts).
+  std::vector<boinc::ContactTally<std::uint32_t>> accounts_;
 
   // Quorum-overlay emission (emit_day_records only).
   std::vector<std::uint32_t> record_seq_;

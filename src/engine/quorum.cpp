@@ -1,6 +1,7 @@
 #include "engine/quorum.h"
 
 #include <algorithm>
+#include <functional>
 #include <stdexcept>
 #include <string>
 
@@ -14,127 +15,66 @@ QuorumCoordinator::QuorumCoordinator(const sim::ReplicationConfig& config,
   config_.validate();
 }
 
-QuorumCoordinator::QuorumCoordinator(const sim::ReplicationConfig& config,
-                                     std::size_t clients,
-                                     std::span<const std::byte> state)
-    : config_(config) {
-  config_.validate();
+template <typename Coordinator, typename Io>
+void QuorumCoordinator::state_fields(Coordinator& q, Io& io,
+                                     std::uint64_t clients) {
+  std::uint64_t tasks = q.assigned_.size();
+  io.field(tasks);
+  io.column(q.assigned_, tasks, "assigned");
+  io.column(q.accounted_, tasks, "accounted");
+  io.column(q.returned_, tasks, "returned");
+  io.column(q.correct_count_, tasks, "correct_count");
+  io.column(q.state_, tasks, "state");
+  io.column(q.correct_hosts_, tasks * q.config_.replicas, "correct_hosts");
 
-  StateReader r(state);
-  const std::uint64_t tasks = r.get_u64();
-  const auto exact = [&]<typename T>(std::uint64_t n, const char* what) {
-    std::vector<T> v = r.get_vector<T>(n);
-    if (v.size() != n) {
-      throw std::runtime_error(std::string("QuorumCoordinator state blob: '") +
-                               what + "' has " + std::to_string(v.size()) +
-                               " rows, expected " + std::to_string(n));
-    }
-    return v;
-  };
-  assigned_ = exact.template operator()<std::uint8_t>(tasks, "assigned");
-  accounted_ = exact.template operator()<std::uint8_t>(tasks, "accounted");
-  returned_ = exact.template operator()<std::uint8_t>(tasks, "returned");
-  correct_count_ =
-      exact.template operator()<std::uint8_t>(tasks, "correct_count");
-  state_ = exact.template operator()<TaskState>(tasks, "state");
-  correct_hosts_ = exact.template operator()<std::uint32_t>(
-      tasks * config_.replicas, "correct_hosts");
-
-  const std::uint64_t n_clients = r.get_u64();
+  std::uint64_t n_clients = q.fifos_.size();
+  io.field(n_clients);
   if (n_clients != clients) {
     throw std::runtime_error("QuorumCoordinator state blob: " +
                              std::to_string(n_clients) +
                              " clients, run header says " +
                              std::to_string(clients));
   }
-  const std::vector<std::uint32_t> fifo_counts =
-      exact.template operator()<std::uint32_t>(n_clients, "fifo_counts");
-  std::uint64_t total_units = 0;
-  for (const std::uint32_t c : fifo_counts) total_units += c;
-  const std::vector<std::uint32_t> fifo_tasks =
-      exact.template operator()<std::uint32_t>(total_units, "fifo_tasks");
-  fifos_.resize(clients);
-  std::uint64_t cursor = 0;
-  for (std::uint64_t i = 0; i < n_clients; ++i) {
-    UnitFifo& fifo = fifos_[i];
-    fifo.tasks.assign(fifo_tasks.begin() + static_cast<std::ptrdiff_t>(cursor),
-                      fifo_tasks.begin() +
-                          static_cast<std::ptrdiff_t>(cursor + fifo_counts[i]));
-    cursor += fifo_counts[i];
-  }
+  io.fifos(q.fifos_, n_clients, "fifo_tasks", std::identity{});
 
-  outcome_.tasks_issued = r.get_u64();
-  outcome_.tasks_validated = r.get_u64();
-  outcome_.tasks_invalid = r.get_u64();
-  outcome_.tasks_missed_deadline = r.get_u64();
-  outcome_.tasks_pending = r.get_u64();
-  outcome_.replicas_issued = r.get_u64();
-  outcome_.replicas_correct = r.get_u64();
-  outcome_.replicas_corrupt = r.get_u64();
-  outcome_.replicas_crashed = r.get_u64();
-  outcome_.replicas_missed_deadline = r.get_u64();
-  outcome_.replicas_duplicate_host = r.get_u64();
-  outcome_.replicas_in_flight = r.get_u64();
+  io.field(q.outcome_.tasks_issued);
+  io.field(q.outcome_.tasks_validated);
+  io.field(q.outcome_.tasks_invalid);
+  io.field(q.outcome_.tasks_missed_deadline);
+  io.field(q.outcome_.tasks_pending);
+  io.field(q.outcome_.replicas_issued);
+  io.field(q.outcome_.replicas_correct);
+  io.field(q.outcome_.replicas_corrupt);
+  io.field(q.outcome_.replicas_crashed);
+  io.field(q.outcome_.replicas_missed_deadline);
+  io.field(q.outcome_.replicas_duplicate_host);
+  io.field(q.outcome_.replicas_in_flight);
+}
+
+QuorumCoordinator::QuorumCoordinator(const sim::ReplicationConfig& config,
+                                     std::size_t clients,
+                                     std::span<const std::byte> state)
+    : config_(config) {
+  config_.validate();
+  StateReader r(state);
+  state_fields(*this, r, clients);
   r.expect_end();
 }
 
 void QuorumCoordinator::serialize_state(std::vector<std::byte>& out) const {
   StateWriter w(out);
-  w.put_u64(assigned_.size());
-  w.put_vector(assigned_);
-  w.put_vector(accounted_);
-  w.put_vector(returned_);
-  w.put_vector(correct_count_);
-  w.put_vector(state_);
-  w.put_vector(correct_hosts_);
-
-  // Unit FIFOs, live entries only, columnar — same shape as the server's
-  // grant FIFOs in ClientShard::serialize_state.
-  w.put_u64(fifos_.size());
-  std::vector<std::uint32_t> fifo_counts;
-  std::vector<std::uint32_t> fifo_tasks;
-  fifo_counts.reserve(fifos_.size());
-  for (const UnitFifo& fifo : fifos_) {
-    fifo_counts.push_back(
-        static_cast<std::uint32_t>(fifo.tasks.size() - fifo.head));
-    fifo_tasks.insert(fifo_tasks.end(),
-                      fifo.tasks.begin() +
-                          static_cast<std::ptrdiff_t>(fifo.head),
-                      fifo.tasks.end());
-  }
-  w.put_vector(fifo_counts);
-  w.put_vector(fifo_tasks);
-
-  w.put_u64(outcome_.tasks_issued);
-  w.put_u64(outcome_.tasks_validated);
-  w.put_u64(outcome_.tasks_invalid);
-  w.put_u64(outcome_.tasks_missed_deadline);
-  w.put_u64(outcome_.tasks_pending);
-  w.put_u64(outcome_.replicas_issued);
-  w.put_u64(outcome_.replicas_correct);
-  w.put_u64(outcome_.replicas_corrupt);
-  w.put_u64(outcome_.replicas_crashed);
-  w.put_u64(outcome_.replicas_missed_deadline);
-  w.put_u64(outcome_.replicas_duplicate_host);
-  w.put_u64(outcome_.replicas_in_flight);
+  state_fields(*this, w, fifos_.size());
 }
 
 std::uint32_t QuorumCoordinator::pop_unit(std::uint32_t client) {
-  UnitFifo& fifo = fifos_.at(client);
-  if (fifo.head == fifo.tasks.size()) {
+  util::HeadFifo<std::uint32_t>& fifo = fifos_.at(client);
+  if (fifo.empty()) {
     throw std::logic_error(
         "QuorumCoordinator: a contact resolved more units than the client "
         "had in flight");
   }
-  const std::uint32_t task = fifo.tasks[fifo.head];
-  if (++fifo.head == fifo.tasks.size()) {
-    fifo.tasks.clear();
-    fifo.head = 0;
-  } else if (fifo.head >= 64) {
-    fifo.tasks.erase(fifo.tasks.begin(),
-                     fifo.tasks.begin() + static_cast<std::ptrdiff_t>(fifo.head));
-    fifo.head = 0;
-  }
+  const std::uint32_t task = fifo.front();
+  fifo.pop_front();
   return task;
 }
 
@@ -193,7 +133,7 @@ void QuorumCoordinator::apply_day(std::vector<DayRecord> records) {
               base + static_cast<std::uint32_t>(unit_cursor % stripe);
           ++unit_cursor;
           ++assigned_[task];
-          fifos_[r.client].tasks.push_back(task);
+          fifos_[r.client].push_back(task);
           ++outcome_.replicas_issued;
           touched.push_back(task);
         }

@@ -34,6 +34,7 @@
 #include <vector>
 
 #include "sim/fault_model.h"
+#include "util/head_fifo.h"
 
 namespace resmodel::engine {
 
@@ -148,16 +149,17 @@ class QuorumCoordinator {
 
   /// Task id of each of a client's in-flight units, oldest first — the
   /// overlay's mirror of the server's per-host grant FIFO.
-  struct UnitFifo {
-    std::vector<std::uint32_t> tasks;
-    std::size_t head = 0;
-  };
-  std::vector<UnitFifo> fifos_;
+  std::vector<util::HeadFifo<std::uint32_t>> fifos_;
 
   QuorumOutcome outcome_;
 
   std::uint32_t pop_unit(std::uint32_t client);
   void resolve(std::uint32_t task);
+
+  /// The serialize_state wire format, walked by the writer and by the
+  /// restoring constructor, which checks the blob against `clients`.
+  template <typename Coordinator, typename Io>
+  static void state_fields(Coordinator& q, Io& io, std::uint64_t clients);
 };
 
 }  // namespace resmodel::engine

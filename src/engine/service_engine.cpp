@@ -23,8 +23,7 @@ namespace {
 /// forks once per client IN CLIENT ORDER before any per-client work, so
 /// the (parallel) wrap-up below is thread-count invariant.
 std::vector<boinc::ArrivedClient> build_cohort(const EngineConfig& config) {
-  config.collection.fault_mix.validate();
-  config.collection.client.validate();
+  config.collection.validate();
   const synth::PopulationConfig& pop = config.collection.population;
   const std::uint64_t n = config.cohort_clients;
 
@@ -53,14 +52,7 @@ std::vector<boinc::ArrivedClient> build_cohort(const EngineConfig& config) {
       client.spec = synth::finish_host(pop, hw.host(i), hw_date, i + 1, rng);
       client.spec.created_day = 0;
       client.spec.last_contact_day = death_day;
-      if (config.collection.fault_mix.any()) {
-        util::Rng fault_rng = rng.fork();
-        const sim::FaultDraw draw =
-            sim::sample_fault(config.collection.fault_mix, fault_rng);
-        client.fault = draw.type;
-        client.straggler_slowdown = draw.slowdown;
-      }
-      client.rng = rng.fork();
+      boinc::finish_arrival(client, config.collection.fault_mix, rng);
     }
   });
   return clients;

@@ -276,6 +276,10 @@ TEST(VirtualClient, ConfigValidationRejectsBadSigmasAndIntervals) {
   ClientConfig sub_unit_slowdown = default_config();
   sub_unit_slowdown.straggler_slowdown = 0.5;
   reject(sub_unit_slowdown);
+  // Crash faults need availability sessions to die at.
+  ClientConfig crash_without_sessions = default_config();
+  crash_without_sessions.fault = sim::FaultType::kCrash;
+  reject(crash_without_sessions);
   // NaN sigmas must not sneak past the comparisons.
   ClientConfig nan_sigma = default_config();
   nan_sigma.benchmark_jitter_sigma = std::nan("");

@@ -333,6 +333,57 @@ TEST(EngineCheckpoint, InjectedWriterFaultsNeverDamageThePublishedEpoch) {
   }
 }
 
+// --- Format stability -----------------------------------------------------
+
+// tests/engine/data/engine_state_v1.snap is a committed engine_state.v1
+// checkpoint, written (byte-identically on 1 and 3 threads) by
+//   resmodel serve --clients=100 --days=6 --seed=11 --shards=2
+//     --availability --fault-mix=crash:0.2,straggler:0.1,corrupt:0.2
+//     --replication=2/3 --deadline-days=2 --checkpoint=F
+//     --checkpoint-every-days=2 --stop-after-day=3
+// A reader that refuses it, or a writer that does not reproduce it from
+// what the reader restored, has changed the on-disk format.
+TEST(EngineCheckpoint, GoldenFixtureLoadsRewritesAndResumes) {
+  const std::string fixture = RESMODEL_ENGINE_STATE_FIXTURE;
+  const CheckpointState state = load_checkpoint(fixture);
+  EXPECT_EQ(state.meta.clients_total, 100u);
+  EXPECT_EQ(state.meta.n_shards, 2u);
+  EXPECT_EQ(state.meta.resume_day, 4);
+  ASSERT_NE(state.coordinator, nullptr);
+
+  const std::string rewritten = temp_path("golden_rewrite.snap");
+  write_checkpoint(rewritten, state.meta, state.shards,
+                   state.coordinator.get());
+  EXPECT_EQ(read_file(rewritten), read_file(fixture));
+
+  // The counters the same command prints when run uninterrupted.
+  EngineConfig config;
+  config.resume_path = fixture;
+  const EngineResult r = run_service_engine(config);
+  EXPECT_EQ(r.resumed_from_day, 4);
+  EXPECT_EQ(r.hosts_created, 100u);
+  EXPECT_EQ(r.total_contacts, 371u);
+  EXPECT_EQ(r.total_units_granted, 221u);
+  EXPECT_EQ(r.total_units_reported, 58u);
+  EXPECT_EQ(r.total_invalid_result_units, 36u);
+  EXPECT_EQ(r.total_units_lost, 15u);
+  EXPECT_EQ(r.total_units_expired, 9u);
+  EXPECT_EQ(r.units_in_flight, 103u);
+  EXPECT_EQ(r.total_credit_granted, 580.0);
+  EXPECT_EQ(r.quorum.tasks_issued, 75u);
+  EXPECT_EQ(r.quorum.tasks_validated, 12u);
+  EXPECT_EQ(r.quorum.tasks_invalid, 12u);
+  EXPECT_EQ(r.quorum.tasks_missed_deadline, 3u);
+  EXPECT_EQ(r.quorum.tasks_pending, 48u);
+  EXPECT_EQ(r.quorum.replicas_issued, 221u);
+  EXPECT_EQ(r.quorum.replicas_correct, 58u);
+  EXPECT_EQ(r.quorum.replicas_corrupt, 36u);
+  EXPECT_EQ(r.quorum.replicas_crashed, 15u);
+  EXPECT_EQ(r.quorum.replicas_missed_deadline, 9u);
+  EXPECT_EQ(r.quorum.replicas_duplicate_host, 0u);
+  EXPECT_EQ(r.quorum.replicas_in_flight, 103u);
+}
+
 // --- Corruption refusal ---------------------------------------------------
 
 /// Publishes a replication-overlay checkpoint with `shards` ClientShards

@@ -321,6 +321,11 @@ TEST(ServiceEngine, ValidatesConfig) {
   bad = config;
   bad.collection.client.mean_contact_interval_days = -1.0;
   EXPECT_THROW(run_service_engine(bad), std::invalid_argument);
+
+  // Crash faults need availability sessions to die at.
+  bad = config;
+  bad.collection.fault_mix.crash_fraction = 0.1;
+  EXPECT_THROW(run_service_engine(bad), std::invalid_argument);
 }
 
 }  // namespace

@@ -36,6 +36,19 @@ TEST(Cli, UnknownCommandFails) {
   EXPECT_NE(err.find("unknown command"), std::string::npos);
 }
 
+TEST(Cli, HelpPrintsUsageToStdout) {
+  for (const std::vector<std::string>& args :
+       std::vector<std::vector<std::string>>{
+           {"--help"}, {"help"}, {"serve", "--help"},
+           {"sweep", "model.txt", "--help"}}) {
+    SCOPED_TRACE(args.front());
+    std::string out, err;
+    EXPECT_EQ(run(args, &out, &err), kOk);
+    EXPECT_EQ(out, usage_text());
+    EXPECT_TRUE(err.empty());
+  }
+}
+
 TEST(Cli, SynthWritesTrace) {
   const std::string path = temp_path("cli_synth.csv");
   std::string out;
@@ -736,6 +749,12 @@ TEST(Cli, ServeRejectsBadArgs) {
                  "--fault-mix=crash:0.7,corrupt:0.7"},
                 nullptr, &err),
             kFailure);
+  // Crash faults only fire at session deaths.
+  EXPECT_EQ(run({"serve", "--clients=100", "--days=7",
+                 "--fault-mix=crash:0.1"},
+                nullptr, &err),
+            kUsage);
+  EXPECT_NE(err.find("--availability"), std::string::npos);
   EXPECT_EQ(run({"serve", "--clients=100", "--days=7", "--frobnicate"},
                 nullptr, &err),
             kUsage);

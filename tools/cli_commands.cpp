@@ -1,6 +1,7 @@
 #include "cli_commands.h"
 
 #include <fstream>
+#include <map>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
@@ -133,6 +134,7 @@ std::string usage_text() {
   return "resmodel — correlated Internet end-host resource models "
          "(ICDCS'11 reproduction)\n"
          "usage:\n"
+         "  resmodel help | --help | <command> --help   print this text\n"
          "  resmodel synth    <out.csv> [active] [seed]\n"
          "  resmodel collect  <out.csv> [active] [seed]\n"
          "  resmodel fit      <trace.csv> <model.txt>\n"
@@ -172,6 +174,8 @@ std::string usage_text() {
          "                    [--threads=T] [--seed=N] [--batch=N]\n"
          "                    [--mean-contact-days=D] [--availability]\n"
          "                    [--fault-mix=crash:p,straggler:p,corrupt:p]\n"
+         "                     (crash needs --availability: a crash loses\n"
+         "                     work only when an ON session ends)\n"
          "                    [--replication=k/n] [--deadline-days=D]\n"
          "                    (sharded virtual-time service engine over an\n"
          "                     N-client cohort; counters are deterministic\n"
@@ -941,11 +945,16 @@ int cmd_serve(const std::vector<std::string>& args, std::ostream& out,
     }
     config.replication.deadline_days = deadline_days;
   }
+  if (config.collection.fault_mix.crash_fraction > 0.0 &&
+      !config.collection.client.model_availability) {
+    err << "serve: --fault-mix=crash:p needs --availability (a crash loses "
+           "work only when an ON session ends)\n";
+    return kUsage;
+  }
   // Surface config errors as usage problems before any work happens.
   try {
     config.validate();
-    config.collection.fault_mix.validate();
-    config.collection.client.validate();
+    config.collection.validate();
   } catch (const std::invalid_argument& e) {
     err << "serve: " << e.what() << '\n';
     return kUsage;
@@ -1420,25 +1429,35 @@ int run_cli(const std::vector<std::string>& args, std::ostream& out,
   }
   const std::string& command = args.front();
   const std::vector<std::string> rest(args.begin() + 1, args.end());
+  using Command = int (*)(const std::vector<std::string>&, std::ostream&,
+                          std::ostream&);
+  static const std::map<std::string, Command> kCommands = {
+      {"synth", cmd_synth},       {"collect", cmd_collect},
+      {"fit", cmd_fit},           {"generate", cmd_generate},
+      {"predict", cmd_predict},   {"validate", cmd_validate},
+      {"sweep", cmd_sweep},       {"serve", cmd_serve},
+      {"backends", cmd_backends}, {"pack", cmd_pack},
+      {"unpack", cmd_unpack},     {"verify", cmd_verify},
+  };
+  const auto it = kCommands.find(command);
+  const bool help_asked =
+      command == "help" || command == "--help" ||
+      (it != kCommands.end() &&
+       std::find(rest.begin(), rest.end(), "--help") != rest.end());
+  if (help_asked) {
+    out << usage_text();
+    return kOk;
+  }
+  if (it == kCommands.end()) {
+    err << "unknown command '" << command << "'\n" << usage_text();
+    return kUsage;
+  }
   try {
-    if (command == "synth") return cmd_synth(rest, out, err);
-    if (command == "collect") return cmd_collect(rest, out, err);
-    if (command == "fit") return cmd_fit(rest, out, err);
-    if (command == "generate") return cmd_generate(rest, out, err);
-    if (command == "predict") return cmd_predict(rest, out, err);
-    if (command == "validate") return cmd_validate(rest, out, err);
-    if (command == "sweep") return cmd_sweep(rest, out, err);
-    if (command == "serve") return cmd_serve(rest, out, err);
-    if (command == "backends") return cmd_backends(rest, out, err);
-    if (command == "pack") return cmd_pack(rest, out, err);
-    if (command == "unpack") return cmd_unpack(rest, out, err);
-    if (command == "verify") return cmd_verify(rest, out, err);
+    return it->second(rest, out, err);
   } catch (const std::exception& e) {
     err << command << ": " << e.what() << '\n';
     return kFailure;
   }
-  err << "unknown command '" << command << "'\n" << usage_text();
-  return kUsage;
 }
 
 }  // namespace resmodel::cli

@@ -4,6 +4,7 @@
 // testable; main() only dispatches.
 //
 // Commands:
+//   help | --help | <command> --help       usage text on stdout, exit 0
 //   synth <out.csv> [active] [seed]        generate a ground-truth trace
 //   collect <out.csv> [active] [seed]      run the BOINC-style collection
 //   fit <trace.csv> <model.txt>            fit the correlated model
@@ -81,7 +82,8 @@ int cmd_unpack(const std::vector<std::string>& args, std::ostream& out,
 int cmd_verify(const std::vector<std::string>& args, std::ostream& out,
                std::ostream& err);
 
-/// The usage text printed on bad invocations.
+/// The usage text: printed to stdout on request (help), to stderr on bad
+/// invocations.
 std::string usage_text();
 
 }  // namespace resmodel::cli
