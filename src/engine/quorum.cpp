@@ -1,11 +1,11 @@
 #include "engine/quorum.h"
 
-#include <algorithm>
 #include <functional>
 #include <stdexcept>
 #include <string>
 
 #include "engine/state_codec.h"
+#include "util/radix_sort.h"
 
 namespace resmodel::engine {
 
@@ -59,6 +59,51 @@ QuorumCoordinator::QuorumCoordinator(const sim::ReplicationConfig& config,
   StateReader r(state);
   state_fields(*this, r, clients);
   r.expect_end();
+  check_restored();
+}
+
+void QuorumCoordinator::check_restored() const {
+  // apply_day indexes the task columns with FIFO entries and the
+  // correct-host slots with correct_count_, so a blob that breaks one of
+  // apply_day's own invariants could make it write out of bounds. The CRC
+  // only proves the bytes are the ones written, not that they are sane.
+  const auto refuse = [](std::size_t task, const std::string& what) {
+    throw std::runtime_error("QuorumCoordinator state blob: task " +
+                             std::to_string(task) + " " + what);
+  };
+  const std::size_t tasks = assigned_.size();
+  std::vector<std::uint32_t> in_flight(tasks, 0);
+  for (const util::HeadFifo<std::uint32_t>& fifo : fifos_) {
+    for (const std::uint32_t task : fifo.live()) {
+      if (task >= tasks) {
+        refuse(task, "is in a FIFO, but there are " + std::to_string(tasks) +
+                         " tasks");
+      }
+      ++in_flight[task];
+    }
+  }
+  const std::uint32_t replicas = config_.replicas;
+  for (std::size_t t = 0; t < tasks; ++t) {
+    if (assigned_[t] > replicas || accounted_[t] > replicas ||
+        returned_[t] > replicas || correct_count_[t] > replicas) {
+      refuse(t, "counts more than " + std::to_string(replicas) + " replicas");
+    }
+    if (accounted_[t] > assigned_[t] || returned_[t] > accounted_[t] ||
+        correct_count_[t] > returned_[t]) {
+      refuse(t, "breaks assigned >= accounted >= returned >= correct");
+    }
+    if (accounted_[t] + in_flight[t] != assigned_[t]) {
+      refuse(t, "has " + std::to_string(in_flight[t]) +
+                    " replicas in FIFOs and " +
+                    std::to_string(assigned_[t] - accounted_[t]) +
+                    " unresolved");
+    }
+    if (static_cast<std::uint8_t>(state_[t]) >
+        static_cast<std::uint8_t>(TaskState::kMissedDeadline)) {
+      refuse(t, "has state byte " +
+                    std::to_string(static_cast<unsigned>(state_[t])));
+    }
+  }
 }
 
 void QuorumCoordinator::serialize_state(std::vector<std::byte>& out) const {
@@ -91,12 +136,11 @@ void QuorumCoordinator::resolve(std::uint32_t task) {
 void QuorumCoordinator::apply_day(std::vector<DayRecord> records) {
   // (client, seq) totally orders a day's records: seq preserves each
   // client's own contact order and the client index fixes the cross-client
-  // order — both independent of which shard drained whom.
-  std::sort(records.begin(), records.end(),
-            [](const DayRecord& a, const DayRecord& b) noexcept {
-              return a.client < b.client ||
-                     (a.client == b.client && a.seq < b.seq);
-            });
+  // order — both independent of which shard drained whom. The key is
+  // unique, so the radix sort yields that order from any input order.
+  util::radix_sort<64>(records, [](const DayRecord& r) noexcept {
+    return (std::uint64_t{r.client} << 32) | r.seq;
+  });
 
   // Pass 1: size the day's task range from its total granted units.
   std::uint64_t day_units = 0;
@@ -117,13 +161,22 @@ void QuorumCoordinator::apply_day(std::vector<DayRecord> records) {
   correct_count_.resize(total);
   state_.resize(total, TaskState::kOpen);
   correct_hosts_.resize(total * config_.replicas);
+  touched_.resize(total);
   outcome_.tasks_issued += day_tasks;
 
   // Pass 2: replay. Grants stripe consecutive units across the day's
   // fresh tasks; reports/losses/expiries resolve the owning client's
   // oldest in-flight units, mirroring the server's FIFO consumption.
+  // Every task a resolution touches is listed once, on first touch.
+  // Grants need no listing: they reach only the day's fresh tasks, which
+  // no grant alone can leave fully accounted.
   std::vector<std::uint32_t> touched;
-  touched.reserve(records.size());
+  const auto touch = [this, &touched](std::uint32_t task) {
+    if (!touched_[task]) {
+      touched_[task] = 1;
+      touched.push_back(task);
+    }
+  };
   std::uint64_t unit_cursor = 0;
   for (const DayRecord& r : records) {
     switch (r.kind) {
@@ -135,7 +188,6 @@ void QuorumCoordinator::apply_day(std::vector<DayRecord> records) {
           ++assigned_[task];
           fifos_[r.client].push_back(task);
           ++outcome_.replicas_issued;
-          touched.push_back(task);
         }
         break;
       case DayRecordKind::kReport:
@@ -143,7 +195,7 @@ void QuorumCoordinator::apply_day(std::vector<DayRecord> records) {
           const std::uint32_t task = pop_unit(r.client);
           ++accounted_[task];
           ++returned_[task];
-          touched.push_back(task);
+          touch(task);
           if (!r.valid) {
             ++outcome_.replicas_corrupt;
             continue;
@@ -181,7 +233,7 @@ void QuorumCoordinator::apply_day(std::vector<DayRecord> records) {
           const std::uint32_t task = pop_unit(r.client);
           ++accounted_[task];
           ++outcome_.replicas_crashed;
-          touched.push_back(task);
+          touch(task);
         }
         break;
       case DayRecordKind::kExpiry:
@@ -189,7 +241,7 @@ void QuorumCoordinator::apply_day(std::vector<DayRecord> records) {
           const std::uint32_t task = pop_unit(r.client);
           ++accounted_[task];
           ++outcome_.replicas_missed_deadline;
-          touched.push_back(task);
+          touch(task);
         }
         break;
     }
@@ -197,10 +249,10 @@ void QuorumCoordinator::apply_day(std::vector<DayRecord> records) {
 
   // Pass 3: failure classification, deferred past the replay because a
   // later grant in the SAME day can still add replicas to a task whose
-  // earlier replicas all resolved.
-  std::sort(touched.begin(), touched.end());
-  touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
+  // earlier replicas all resolved. The order is free: resolve() touches
+  // only its own task's state and the outcome counters.
   for (const std::uint32_t task : touched) {
+    touched_[task] = 0;
     if (state_[task] == TaskState::kOpen &&
         accounted_[task] == assigned_[task]) {
       resolve(task);

@@ -9,6 +9,7 @@
 #include <stdexcept>
 
 #include "util/parallel.h"
+#include "util/radix_sort.h"
 
 namespace resmodel::sim {
 
@@ -56,72 +57,13 @@ void refine_ties(std::vector<std::uint64_t>& pref, const double* scores) {
   }
 }
 
-/// Below this size a comparison sort beats the radix passes' histogram
-/// setup.
-constexpr std::size_t kRadixCutoff = 4096;
-
 /// Sorts the packed preference entries ascending (= descending score,
-/// ascending index). Large inputs take a stable LSD radix sort over the
-/// two 16-bit digits of the key half — the low (index) half never needs
-/// a pass because entries enter in ascending host index and stable
-/// scatters keep them that way.
+/// ascending index) with a stable radix sort over the key half only: the
+/// low (index) half never needs a pass because entries enter in
+/// ascending host index and the stable sort keeps them that way.
 void sort_preferences(std::vector<std::uint64_t>& pref,
                       const double* scores) {
-  const std::size_t n = pref.size();
-  if (n < kRadixCutoff) {
-    std::sort(pref.begin(), pref.end());
-    refine_ties(pref, scores);
-    return;
-  }
-
-  constexpr int kDigitBits = 16;
-  constexpr std::size_t kBuckets = std::size_t{1} << kDigitBits;
-  constexpr int kKeyShift = 32;
-  constexpr int kPasses = 2;
-  std::vector<std::uint64_t> scratch(n);
-  std::vector<std::uint32_t> hist(kPasses * kBuckets, 0);
-
-  // Both histograms in one scan.
-  std::uint32_t* hist_lo = hist.data();
-  std::uint32_t* hist_hi = hist.data() + kBuckets;
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::uint64_t key = pref[i] >> kKeyShift;
-    ++hist_lo[key & (kBuckets - 1)];
-    ++hist_hi[key >> kDigitBits];
-  }
-
-  std::vector<std::uint64_t>* src = &pref;
-  std::vector<std::uint64_t>* dst = &scratch;
-  for (int p = 0; p < kPasses; ++p) {
-    std::uint32_t* counts =
-        hist.data() + static_cast<std::size_t>(p) * kBuckets;
-    // Constant digit => the pass is a no-op; skip the scatter.
-    bool constant = false;
-    for (std::size_t b = 0; b < kBuckets; ++b) {
-      if (counts[b] != 0) {
-        constant = counts[b] == n;
-        break;
-      }
-    }
-    if (constant) continue;
-
-    std::uint32_t running = 0;
-    for (std::size_t b = 0; b < kBuckets; ++b) {
-      const std::uint32_t c = counts[b];
-      counts[b] = running;
-      running += c;
-    }
-    const int shift = kKeyShift + p * kDigitBits;
-    const std::uint64_t* s = src->data();
-    std::uint64_t* d = dst->data();
-    for (std::size_t i = 0; i < n; ++i) {
-      d[counts[(s[i] >> shift) & (kBuckets - 1)]++] = s[i];
-    }
-    std::swap(src, dst);
-  }
-  if (src != &pref) {
-    std::swap(pref, scratch);
-  }
+  util::radix_sort<32>(pref, [](std::uint64_t e) { return e >> 32; });
   refine_ties(pref, scores);
 }
 

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstring>
 #include <limits>
+#include <utility>
 
 #include "util/checksum.h"
 
@@ -595,9 +596,9 @@ Snapshot SnapshotReader::read_shard(std::uint64_t shard) {
   snap.metadata = metadata_;
   snap.columns.resize(schema_.size());
   std::vector<bool> seen(schema_.size(), false);
-  std::vector<std::byte> payload;
   for (const BlockRef& b : blocks_) {
     if (b.shard != shard) continue;
+    std::vector<std::byte> payload;
     if (!block_payload(b, payload)) {
       throw StoreError(StoreErrc::kBlockCorrupt, path_,
                        "column '" + schema_[b.column].name + "' shard " +
@@ -607,7 +608,7 @@ Snapshot SnapshotReader::read_shard(std::uint64_t shard) {
     Column& col = snap.columns[b.column];
     col.spec = schema_[b.column];
     col.rows = b.rows;
-    col.data = payload;
+    col.data = std::move(payload);
     seen[b.column] = true;
     snap.rows = b.rows;
   }
