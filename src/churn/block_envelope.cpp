@@ -19,6 +19,8 @@ static_assert(backend::kKernelBlock == BoundGate::kBlock,
               "backend kernel block width != gate block width");
 static_assert(backend::kGateMaxLevels == kMaxLookaheadLevels,
               "backend gate view level capacity != kMaxLookaheadLevels");
+static_assert(BoundGate::kGridSize <= 64,
+              "one dirty bit per grid position in a 64-bit mask");
 
 namespace {
 
@@ -73,10 +75,9 @@ void BoundGate::eval_block(std::size_t blk, double task,
   ops_->gate_sweep(view, static_cast<float>(task), lb);
 }
 
-std::pair<double, std::uint8_t> BoundGate::eval_block_min(
-    std::size_t blk, double task) const noexcept {
+void BoundGate::eval_entry(std::size_t blk, std::size_t j) noexcept {
   float lb[kBlock];
-  eval_block(blk, task, lb);
+  eval_block(blk, positions_[j], lb);
   float m = lb[0];
   std::uint8_t arg = 0;
   for (std::size_t i = 1; i < kBlock; ++i) {
@@ -85,86 +86,38 @@ std::pair<double, std::uint8_t> BoundGate::eval_block_min(
       arg = static_cast<std::uint8_t>(i);
     }
   }
-  return {static_cast<double>(m), arg};
+  grid_[j * blocks_ + blk] = static_cast<double>(m);
+  argmin_[blk * kGridSize + j] = arg;
 }
 
-void BoundGate::rebuild_knots(std::size_t blk,
-                              const sim::ScheduleState& state,
-                              const CursorView& cursors) {
-  const std::size_t lo = blk * kBlock;
-  const std::size_t len = std::min(size_ - lo, kBlock);
-  const double tmax = bucket_edges_.back();
-  // Candidate knots = the block members' own breakpoints, in task-size
-  // units: the fits->spill boundary at sess_rem / inv and (checkpoint
-  // only) the level boundaries at (cum_k - accr) / inv. Positions are
-  // sample points, nothing more — the values are evaluated at the
-  // STORED (float-rounded) positions, so any rounding here is harmless.
-  knot_scratch_.clear();
-  for (std::size_t i = 0; i < len; ++i) {
-    const std::size_t host = state.ect_order[lo + i];
-    const double inv = state.ect_sorted_inv[lo + i];
-    const double sess = cursors.sess_rem[host];
-    if (std::isfinite(sess)) {
-      const double t = sess / inv;
-      if (t > 0.0 && t <= tmax) knot_scratch_.push_back(t);
-    }
-    if (policy_ != InterruptionPolicy::kCheckpoint) continue;
-    const double accr = cursors.accr[host];
-    const double* lv = cursors.levels.data() + host * 2 * levels_;
-    for (std::size_t k = 0; k + 1 < levels_; ++k) {
-      if (!std::isfinite(lv[k])) break;  // exhausted levels stay exhausted
-      const double t = (lv[k] - accr) / inv;
-      if (t > 0.0 && t <= tmax) knot_scratch_.push_back(t);
+bool BoundGate::refresh(std::size_t blk, std::size_t j) noexcept {
+  const std::uint64_t bit = std::uint64_t{1} << j;
+  if ((dirty_[blk] & bit) == 0) return false;
+  eval_entry(blk, j);
+  dirty_[blk] &= ~bit;
+  return true;
+}
+
+std::vector<double> BoundGate::grid_positions(std::span<const double> tasks) {
+  std::vector<double> sorted;
+  sorted.reserve(tasks.size());
+  for (const double t : tasks) {
+    // Positive and float-representable in range (drops NaN and inf).
+    if (t > 0.0 && t <= std::numeric_limits<float>::max()) {
+      sorted.push_back(t);
     }
   }
-  std::sort(knot_scratch_.begin(), knot_scratch_.end());
-
-  float* kt = knot_t_.data() + blk * kKnotCapacity;
-  float* kv = knot_v_.data() + blk * kKnotCapacity;
-  std::uint8_t* ka = knot_argmin_.data() + blk * kKnotCapacity;
-  std::size_t count = 0;
-  kt[count++] = 0.0f;  // universal anchor: min ready
-  const std::size_t cands = knot_scratch_.size();
-  const std::size_t take = std::min(cands, kKnotCapacity - 1);
-  for (std::size_t j = 0; j < take; ++j) {
-    // Even stride through the sorted candidates when over capacity.
-    const std::size_t idx = cands <= kKnotCapacity - 1
-                                ? j
-                                : j * cands / take;
-    const float t = static_cast<float>(knot_scratch_[idx]);
-    if (t <= kt[count - 1]) continue;  // dedupe after rounding
-    kt[count++] = t;
+  std::sort(sorted.begin(), sorted.end());
+  std::vector<double> positions = {0.0};  // anchors every task: min ready
+  const std::size_t n = sorted.size();
+  for (std::size_t k = 0; n > 0 && k + 1 < kGridSize; ++k) {
+    const double q = sorted[k * n / (kGridSize - 1)];
+    float f = static_cast<float>(q);
+    if (static_cast<double>(f) > q) f = std::nextafter(f, 0.0f);
+    const double p = static_cast<double>(f);
+    if (p > positions.back()) positions.push_back(p);
   }
-  for (std::size_t k = 0; k < count; ++k) {
-    const auto [v, arg] = eval_block_min(blk, static_cast<double>(kt[k]));
-    kv[k] = static_cast<float>(v);
-    ka[k] = arg;
-  }
-  knot_count_[blk] = static_cast<std::uint16_t>(count);
-  stale_[blk] = 0;
-}
-
-void BoundGate::repair_knots(std::size_t blk, std::uint8_t lane) {
-  // Only knots whose recorded minimum came from the reassigned lane can
-  // be stale-low (the lane's completion function only moved up; every
-  // other knot's stored minimum is untouched and still sound).
-  const std::size_t base = blk * kKnotCapacity;
-  const float* kt = knot_t_.data() + base;
-  float* kv = knot_v_.data() + base;
-  std::uint8_t* ka = knot_argmin_.data() + base;
-  const std::size_t count = knot_count_[blk];
-  for (std::size_t k = 0; k < count; ++k) {
-    if (ka[k] != lane) continue;
-    const auto [v, arg] = eval_block_min(blk, static_cast<double>(kt[k]));
-    kv[k] = static_cast<float>(v);
-    ka[k] = arg;
-  }
-}
-
-void BoundGate::rebuild_coarse_row(std::size_t blk) {
-  for (std::size_t k = 0; k < kBuckets; ++k) {
-    coarse_[k * blocks_ + blk] = block_bound(blk, bucket_edges_[k]);
-  }
+  return positions;
 }
 
 void BoundGate::reset(const sim::ScheduleState& state,
@@ -174,7 +127,6 @@ void BoundGate::reset(const sim::ScheduleState& state,
   policy_ = policy;
   blocks_ = state.block_count();
   size_ = state.size();
-  bmin_inv_ = state.ect_block_min_inv.data();
   levels_ = cursors.levels_count;
   const std::size_t padded = blocks_ * kBlock;
   inv_.assign(padded, 0.0f);
@@ -190,37 +142,12 @@ void BoundGate::reset(const sim::ScheduleState& state,
     pack_lane(pos, state.ect_order[pos], state, cursors);
   }
 
-  // Coarse edges: edge 0 is exactly 0 (its row entry is the min-ready
-  // bound, valid for every positive task), the rest log-spaced over the
-  // workload's size range.
-  double tmin = std::numeric_limits<double>::infinity();
-  double tmax = 0.0;
-  for (const double t : tasks) {
-    tmin = std::min(tmin, t);
-    tmax = std::max(tmax, t);
-  }
-  if (!(tmin > 0.0) || !(tmax >= tmin)) {
-    tmin = 1.0;
-    tmax = 1.0;
-  }
-  bucket_edges_.resize(kBuckets);
-  bucket_edges_[0] = 0.0;
-  const double ratio = tmax / tmin;
-  for (std::size_t k = 1; k < kBuckets; ++k) {
-    bucket_edges_[k] =
-        tmin * std::pow(ratio, static_cast<double>(k - 1) /
-                                   static_cast<double>(kBuckets - 2));
-  }
-
-  coarse_.resize(kBuckets * blocks_);
-  knot_t_.resize(blocks_ * kKnotCapacity);
-  knot_v_.resize(blocks_ * kKnotCapacity);
-  knot_argmin_.resize(blocks_ * kKnotCapacity);
-  knot_count_.assign(blocks_, 0);
-  stale_.assign(blocks_, 0);
+  positions_ = grid_positions(tasks);
+  grid_.resize(positions_.size() * blocks_);
+  argmin_.assign(blocks_ * kGridSize, 0);
+  dirty_.assign(blocks_, 0);
   for (std::size_t b = 0; b < blocks_; ++b) {
-    rebuild_knots(b, state, cursors);
-    rebuild_coarse_row(b);
+    for (std::size_t j = 0; j < positions_.size(); ++j) eval_entry(b, j);
   }
 }
 
@@ -228,45 +155,24 @@ void BoundGate::on_assign(std::size_t host, const sim::ScheduleState& state,
                           const CursorView& cursors) {
   const std::size_t pos = state.ect_pos[host];
   pack_lane(pos, host, state, cursors);
+  // Only entries whose recorded minimum came from the reassigned lane
+  // can be stale-low (its completion function only moved up; every
+  // other entry's minimum is untouched and still sound).
   const std::size_t blk = pos / kBlock;
-  if (++stale_[blk] >= kStaleLimit) {
-    // Lazy epoch: the knot positions have drifted from the block's
-    // current breakpoints; re-derive them (values included).
-    rebuild_knots(blk, state, cursors);
-  } else {
-    repair_knots(blk, static_cast<std::uint8_t>(pos - blk * kBlock));
+  const auto lane = static_cast<std::uint8_t>(pos - blk * kBlock);
+  const std::uint8_t* arg = argmin_.data() + blk * kGridSize;
+  std::uint64_t mask = 0;
+  for (std::size_t j = 0; j < positions_.size(); ++j) {
+    mask |= static_cast<std::uint64_t>(arg[j] == lane) << j;
   }
-  rebuild_coarse_row(blk);
+  dirty_[blk] |= mask;
 }
 
-std::size_t BoundGate::bucket_of(double task) const noexcept {
+std::size_t BoundGate::position_of(double task) const noexcept {
   const auto it =
-      std::upper_bound(bucket_edges_.begin(), bucket_edges_.end(), task);
-  if (it == bucket_edges_.begin()) return 0;  // negative task: clamp
-  return static_cast<std::size_t>(it - bucket_edges_.begin()) - 1;
-}
-
-double BoundGate::block_bound(std::size_t blk, double task) const noexcept {
-  const float* kt = knot_t_.data() + blk * kKnotCapacity;
-  const float* kv = knot_v_.data() + blk * kKnotCapacity;
-  const std::size_t m = knot_count_[blk];
-  const float t = static_cast<float>(task);
-  // Last knot with position <= t. Knot 0 sits at exactly 0, so the
-  // invariant kt[lo] <= t holds from the start (tasks are positive).
-  std::size_t lo = 0;
-  std::size_t hi = m;
-  while (hi - lo > 1) {
-    const std::size_t mid = (lo + hi) / 2;
-    if (kt[mid] <= t) {
-      lo = mid;
-    } else {
-      hi = mid;
-    }
-  }
-  // (task - knot) can round a hair negative when float(task) snapped up
-  // onto the knot; that only lowers the bound.
-  return static_cast<double>(kv[lo]) +
-         (task - static_cast<double>(kt[lo])) * bmin_inv_[blk];
+      std::upper_bound(positions_.begin(), positions_.end(), task);
+  if (it == positions_.begin()) return 0;  // negative task: clamp
+  return static_cast<std::size_t>(it - positions_.begin()) - 1;
 }
 
 void BoundGate::sweep_block(std::size_t blk, double task,

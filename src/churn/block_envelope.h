@@ -14,32 +14,38 @@
 // boundaries w = sess_rem and w = cum_j - accr. Restart is the same shape
 // with two pieces (ready / next_start intercepts; the deep intercept is a
 // sound lower bound because a restart completion can never precede the
-// next session's start plus the work). A 64-host block's minimum over
-// these functions is therefore queryable through a small set of KNOTS:
-// sample positions t_0 = 0 < t_1 < ... taken from the union of the block
-// members' breakpoints, each carrying the block-minimum bound v_k
-// evaluated at t_k. Because every per-host function satisfies
-// f(t) >= f(t_k) + inv * (t - t_k) for t >= t_k,
+// next session's start plus the work). Every per-host function therefore
+// satisfies f(t) >= f(t_j) + inv * (t - t_j) for t >= t_j, so if v_j(b)
+// is block b's minimum at a sample position t_j,
 //
-//   envelope(t) = v_k + (t - t_k) * block_min_inv,   t_k = last knot <= t
+//   envelope_b(t) = v_j(b) + (t - t_j) * block_min_inv_b,
+//                   t_j = last position <= t,
 //
-// is a sound lower bound on every completion in the block — one O(log)
-// binary search instead of re-streaming the block's columns, and sharp
-// wherever the knots track the true breakpoints (rate-sorted blocks are
-// near-homogeneous in inv, so the min-inv extension loses almost
-// nothing).
+// is a sound lower bound on every completion in the block (rate-sorted
+// blocks are near-homogeneous in inv, so the min-inv extension loses
+// almost nothing).
 //
-// INCREMENTAL MAINTENANCE. Only an assignment to a host inside a block
-// changes that block's functions, and an assignment moves the host's
-// cursor forward, so its completion function only moves UP — every stored
-// knot value remains a valid lower bound untouched. Per assignment the
-// gate therefore (a) refreshes the winner's packed lane columns, (b)
-// re-evaluates only the knots whose recorded argmin lane was the winner
-// (the only knots whose stored minimum can be stale-low), and (c) after
-// kStaleLimit assignments re-derives the block's knot POSITIONS from the
-// current breakpoints — a lazy full-rebuild epoch that restores sharpness
-// the drifted positions lost. Soundness never depends on the epoch; only
-// pruning power does.
+// ONE TASK-SIZE GRID. The sample positions are global, not per block:
+// t_0 = 0 plus the quantiles of the run's task sizes, at most kGridSize
+// positions in all. Each quantile is rounded DOWN to a float, so the
+// float32 sweep evaluates exactly at t_j and t_j never exceeds the task
+// that anchors on it. The gate keeps the position-major table
+// grid[j * blocks + b] = v_j(b) — one contiguous row per position, which
+// is the scheduler's per-task all-blocks bound row — and the argmin lane
+// of every entry.
+//
+// LAZY REPAIR. Only an assignment to a host inside a block changes that
+// block's functions, and an assignment moves the host's cursor forward,
+// so its completion function only moves UP — every stored entry remains
+// a valid lower bound untouched. Per assignment the gate therefore
+// (a) repacks the winner's lane columns and (b) marks DIRTY, in the
+// block's 64-bit mask (one bit per position), the entries whose recorded
+// argmin lane was the winner: the only ones that may now be stale-low.
+// Nothing is re-evaluated yet. The scheduler calls refresh() on an entry
+// just before it acts on it — the warm-start block, and each block the
+// row test admits — so a decision is taken either on an exact entry or
+// on a stale one that already prunes (a fresh entry is never lower, so
+// it would prune too). Entries nobody consults are never re-evaluated.
 //
 // FLOAT-PACKED COLUMNS. The swept bound columns are stored as float32:
 // half the bytes per admitted block and twice the SIMD width. Bounds stay
@@ -60,7 +66,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
-#include <utility>
 #include <vector>
 
 #include "backend/kernels.h"
@@ -103,22 +108,18 @@ struct CursorView {
 };
 
 /// The pruning gate for one ChurnScheduler run: packed float32 per-lane
-/// bound columns in rate-sorted layout, per-block knot envelopes, and
-/// the bucket-major coarse row the per-task block scan reads.
-/// reset() builds everything for the run's policy; on_assign() maintains
-/// it incrementally. All returned bounds are RAW — callers must deflate
-/// by margin() before comparing against exact completions.
+/// bound columns in rate-sorted layout and the task-size grid of
+/// per-block minima the per-task block scan reads. reset() builds
+/// everything for the run's policy; on_assign() marks what an
+/// assignment may have made stale and refresh() repairs it on demand.
+/// All returned bounds are RAW — callers must deflate by margin() before
+/// comparing against exact completions.
 class BoundGate {
  public:
   /// Hosts per block — must match sim::ScheduleState::kBlockSize.
   static constexpr std::size_t kBlock = sim::ScheduleState::kBlockSize;
-  /// Knot capacity per block (including the mandatory t = 0 knot).
-  static constexpr std::size_t kKnotCapacity = 48;
-  /// Global coarse-row task-size edges (edge 0 is exactly 0, the rest
-  /// log-spaced over the workload's range).
-  static constexpr std::size_t kBuckets = 32;
-  /// Assignments into a block between knot-position rebuild epochs.
-  static constexpr std::size_t kStaleLimit = 16;
+  /// Grid positions, 0 included: one dirty bit each in a block's mask.
+  static constexpr std::size_t kGridSize = 64;
 
   /// `simd` selects the kernel-ops arm the column sweeps run through
   /// (backend::resolve — kNone is the autovectorized blocked baseline).
@@ -130,34 +131,52 @@ class BoundGate {
   /// Deflation factor every consumer applies to gate-derived bounds.
   static constexpr double margin() noexcept { return kMarginF32; }
 
-  /// (Re)builds the packed columns, envelopes and coarse rows for a run:
-  /// `state` supplies the rate-sorted layout (ensure_ect_caches() must
-  /// have run), `cursors` the per-host double columns, `tasks` the
-  /// workload (coarse edges span its size range). kAbandon never gates;
-  /// passing it is an error.
+  /// The grid a workload gets: 0, then the quantiles of the positive
+  /// task sizes at ranks k * n / (kGridSize - 1), each rounded down to
+  /// a float, duplicates dropped (strictly ascending, <= kGridSize).
+  static std::vector<double> grid_positions(std::span<const double> tasks);
+
+  /// (Re)builds the packed columns and the grid for a run: `state`
+  /// supplies the rate-sorted layout (ensure_ect_caches() must have
+  /// run), `cursors` the per-host double columns, `tasks` the workload
+  /// the grid positions are drawn from. kAbandon never gates; passing it
+  /// is an error.
   void reset(const sim::ScheduleState& state, const CursorView& cursors,
              std::span<const double> tasks, InterruptionPolicy policy);
 
-  /// Refreshes host's lane after its cursor moved: packed columns, owned
-  /// knots, the block's coarse row — and a full knot rebuild every
-  /// kStaleLimit-th assignment into the block.
+  /// Repacks host's lane after its cursor moved and marks dirty the
+  /// grid entries of its block whose recorded argmin was that lane.
   void on_assign(std::size_t host, const sim::ScheduleState& state,
                  const CursorView& cursors);
 
-  /// Largest coarse edge <= task (edge 0 is 0, so always valid) and the
-  /// bucket-major row for it; the caller's per-task block scan computes
-  /// row[b] + (task - edge) * ect_block_min_inv[b].
-  std::size_t bucket_of(double task) const noexcept;
-  double bucket_edge(std::size_t bucket) const noexcept {
-    return bucket_edges_[bucket];
-  }
-  const double* coarse_row(std::size_t bucket) const noexcept {
-    return coarse_.data() + bucket * blocks_;
+  /// The grid positions, ascending; positions()[0] == 0.
+  std::span<const double> positions() const noexcept { return positions_; }
+
+  /// Last grid position <= task (position 0 is 0, so always valid).
+  std::size_t position_of(double task) const noexcept;
+
+  /// Row j of the grid, one entry per block: the caller's per-task
+  /// block scan computes row(j)[b] + (task - positions()[j]) *
+  /// ect_block_min_inv[b]. RAW; a dirty entry is stale-LOW (still sound).
+  const double* row(std::size_t j) const noexcept {
+    return grid_.data() + j * blocks_;
   }
 
-  /// Envelope query: sound lower bound on every completion in block
-  /// `blk` for task size `task`. RAW — deflate by margin().
-  double block_bound(std::size_t blk, double task) const noexcept;
+  /// Bit j set: entry (blk, j) may be stale-low (test hook).
+  std::uint64_t dirty_mask(std::size_t blk) const noexcept {
+    return dirty_[blk];
+  }
+
+  /// Lane of block `blk` that attained entry (blk, j) when it was last
+  /// evaluated (test hook).
+  std::uint8_t argmin_lane(std::size_t blk, std::size_t j) const noexcept {
+    return argmin_[blk * kGridSize + j];
+  }
+
+  /// If entry (blk, j) is dirty, re-evaluates it to the block's current
+  /// minimum lane bound at positions()[j], clears its bit and returns
+  /// true; a clean entry is left alone (false).
+  bool refresh(std::size_t blk, std::size_t j) noexcept;
 
   /// Streams block `blk`'s packed columns and writes 64 per-lane lower
   /// bounds (padded lanes get +inf). RAW — deflate by margin().
@@ -167,29 +186,18 @@ class BoundGate {
   /// expressions as sweep_block).
   double lane_bound(std::size_t pos, double task) const noexcept;
 
-  /// Knot count of block `blk` (test hook).
-  std::size_t knot_count(std::size_t blk) const noexcept {
-    return knot_count_[blk];
-  }
-
  private:
   void pack_lane(std::size_t pos, std::size_t host,
                  const sim::ScheduleState& state, const CursorView& cursors);
   void eval_block(std::size_t blk, double task, float* lb) const noexcept;
-  /// Block-min bound at `task` plus its argmin lane.
-  std::pair<double, std::uint8_t> eval_block_min(std::size_t blk,
-                                                 double task) const noexcept;
-  void rebuild_knots(std::size_t blk, const sim::ScheduleState& state,
-                     const CursorView& cursors);
-  void repair_knots(std::size_t blk, std::uint8_t lane);
-  void rebuild_coarse_row(std::size_t blk);
+  /// Evaluates entry (blk, j) and its argmin lane; leaves the mask alone.
+  void eval_entry(std::size_t blk, std::size_t j) noexcept;
 
   const backend::KernelOps* ops_;
   InterruptionPolicy policy_ = InterruptionPolicy::kCheckpoint;
   std::size_t levels_ = 0;
   std::size_t blocks_ = 0;
   std::size_t size_ = 0;  ///< real (unpadded) lane count
-  const double* bmin_inv_ = nullptr;  ///< state.ect_block_min_inv
   // Flat rate-sorted float32 columns, padded to blocks * kBlock lanes
   // (padding: inv = 0, sess/ready/next = +inf — inert lanes that bound
   // to +inf). sess_ and the c_[k] = cum_k level columns are pad-inflated
@@ -197,16 +205,10 @@ class BoundGate {
   std::vector<float> inv_, sess_, ready_, next_, accr_;
   std::vector<float> c_[kMaxLookaheadLevels];
   std::vector<float> phi_[kMaxLookaheadLevels];
-  // Per-block knot arrays: positions ascending, stride kKnotCapacity,
-  // values = block-min bound evaluated AT the stored (rounded) position
-  // so rounding never breaks the anchor.
-  std::vector<float> knot_t_, knot_v_;
-  std::vector<std::uint8_t> knot_argmin_;   ///< stride kKnotCapacity
-  std::vector<std::uint16_t> knot_count_;   ///< per block
-  std::vector<std::uint16_t> stale_;        ///< assignments since epoch
-  std::vector<double> bucket_edges_;        ///< kBuckets ascending, [0] = 0
-  std::vector<double> coarse_;              ///< kBuckets x blocks_, bucket-major
-  std::vector<double> knot_scratch_;        ///< candidate breakpoints
+  std::vector<double> positions_;        ///< ascending, [0] = 0
+  std::vector<double> grid_;             ///< positions x blocks_, position-major
+  std::vector<std::uint8_t> argmin_;     ///< blocks_ x kGridSize, block-major
+  std::vector<std::uint64_t> dirty_;     ///< per block, bit j = position j
 };
 
 }  // namespace resmodel::churn

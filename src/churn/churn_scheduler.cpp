@@ -360,34 +360,44 @@ std::uint32_t ChurnScheduler::select_ect(double task,
       const double* bmin_inv = state_.ect_block_min_inv.data();
       const std::uint32_t* order = state_.ect_order.data();
       const std::size_t blocks = state_.block_count();
-      // Level A: the coarse bucket row — one contiguous read per task.
-      // Completions are non-decreasing in task size, so the row entry at
-      // the anchor edge, extended by (task - edge) * block_min_inv, lower
-      // bounds every completion in the block. The tightest block is the
-      // warm start: it is evaluated first so the incumbent is near-
-      // optimal before any other block is gated. (Processing order is
-      // result-neutral: pruning only skips hosts that cannot win or tie.)
-      const std::size_t bucket = gate_.bucket_of(task);
-      const double edge = gate_.bucket_edge(bucket);
-      const double over = task - edge;
-      const double* row = gate_.coarse_row(bucket);
+      // The gate's grid row at the last position <= task, extended by
+      // (task - position) * block_min_inv, lower-bounds every completion
+      // in each block — one contiguous read per task. The tightest block
+      // is the warm start: it is evaluated first so the incumbent is
+      // near-optimal before any other block is gated. (Processing order
+      // is result-neutral: pruning only skips hosts that cannot win or
+      // tie.)
+      const std::size_t j = gate_.position_of(task);
+      const double over = task - gate_.positions()[j];
+      const double* row = gate_.row(j);
       // Vectorized row pass through the dispatch table; returns the
-      // FIRST index attaining the row minimum — the block the old
-      // first-strict-improvement scan warm-started on, so the sweep
-      // order (and with it the swept_blocks counter) is arm-invariant.
-      const std::size_t warm =
+      // FIRST index attaining the row minimum, so the sweep order (and
+      // with it the swept_blocks counter) is arm-invariant. A dirty
+      // entry is stale-low, so the warm block is refreshed and the row
+      // rescanned until the argmin entry is exact: every other entry is
+      // then at least as high, stale or not, so this is the block a
+      // fully repaired row would pick.
+      std::size_t warm =
           ops_->row_bounds_argmin(row, bmin_inv, over, blocks,
                                   bounds.data());
+      while (gate_.refresh(warm, j)) {
+        warm = ops_->row_bounds_argmin(row, bmin_inv, over, blocks,
+                                       bounds.data());
+      }
       for (std::size_t bi = 0; bi <= blocks; ++bi) {
-        // Iteration 0 is the warm-start block; the regular pass follows
-        // (the warm block re-gates and prunes immediately).
+        // Iteration 0 is the warm-start block; the regular pass skips
+        // it: every warm lane that could still win was resolved there,
+        // and best_done only falls.
         const std::size_t b = bi == 0 ? warm : bi - 1;
-        if (bi != 0 && bounds[b] * margin > best_done) continue;
-        // Level B: the per-block envelope at the exact task size — an
-        // O(log knots) refinement that culls the near-misses the coarse
-        // row admits, without streaming the block's columns.
-        if (bi != 0 && gate_.block_bound(b, task) * margin > best_done) {
-          continue;
+        if (bi != 0) {
+          if (b == warm || bounds[b] * margin > best_done) continue;
+          // Admitted on a dirty entry: repair it and gate again on the
+          // exact minimum (a stale entry that already prunes needs no
+          // repair, the exact one could only prune harder).
+          if (gate_.refresh(b, j) &&
+              (row[b] + over * bmin_inv[b]) * margin > best_done) {
+            continue;
+          }
         }
         gate_.sweep_block(b, task, lb);
         ++totals.swept_blocks;
@@ -460,7 +470,7 @@ ChurnScheduleTotals ChurnScheduler::run_ect(std::span<const double> tasks,
   ChurnScheduleTotals totals;
   const std::size_t n = state_.size();
   if (n == 0) return totals;
-  std::vector<double> bounds;  // level-A scratch, one entry per block
+  std::vector<double> bounds;  // bound scratch, one entry per block
   if constexpr (kBlocked) {
     state_.ensure_ect_caches();
     gate_.reset(state_, cursor_view(), tasks, policy);

@@ -36,10 +36,11 @@
 //     deeper is bounded by the deepest phi (resolved by one lower_bound
 //     over the timeline's cum column);
 //   - a churn::BoundGate (block_envelope.h): per-block lower ENVELOPES
-//     of the piecewise-affine completion-vs-task-size functions,
-//     maintained incrementally (only the winner's knots per assignment,
-//     lazy full-rebuild epochs), packed as float32 bound columns, under
-//     a bucket-major coarse row for the cheap per-task block scan;
+//     of the piecewise-affine completion-vs-task-size functions, sampled
+//     on one global grid of task-size quantiles (one row per position,
+//     read whole by the per-task block scan) over float32-packed bound
+//     columns; an assignment only marks the winner's grid entries dirty,
+//     and the scan repairs a dirty entry just before acting on it;
 //   - every cross-expression skip test deflates its bound by a relative
 //     margin orders of magnitude above the bound chain's rounding noise,
 //     so pruning stays sound by construction in floating point.
@@ -178,7 +179,7 @@ class ChurnScheduler {
   /// (blocked when the resolved backend is non-scalar and
   /// `force_reference` is off, the full-scan oracle otherwise — same
   /// bit-identity contract). `tasks` is the task population the gate's
-  /// bucket edges are built over (it is retained for gate re-resets on
+  /// grid positions are drawn from (it is retained for gate re-resets on
   /// advance_time); individual step() calls may pass any task drawn from
   /// it, in any order and multiplicity. `slowdown`, when non-empty, is a
   /// per-host execution derate column (>= 1, copied): the straggler
@@ -215,7 +216,7 @@ class ChurnScheduler {
   /// expressions commit uses), and gate priming + access so soundness
   /// properties (every gate bound, deflated by gate().margin(), is <=
   /// the exact completion) can be asserted directly — including after
-  /// run() advanced the state through staleness epochs.
+  /// run() left grid entries dirty.
   double completion_for_test(std::size_t host, double task,
                              InterruptionPolicy policy) const noexcept {
     return completion_for(host, task * state_.inv_rates[host], policy);
@@ -246,7 +247,7 @@ class ChurnScheduler {
 
   /// The per-task minimum-completion selection of run_ect, shared
   /// verbatim with step(): returns the winning host without committing.
-  /// `bounds` is the level-A scratch row (blocked arm only).
+  /// `bounds` is the per-block bound scratch row (blocked arm only).
   template <bool kBlocked>
   std::uint32_t select_ect(double task, InterruptionPolicy policy,
                            ChurnScheduleTotals& totals,
@@ -307,8 +308,8 @@ class ChurnScheduler {
   std::vector<std::uint32_t> sess_idx_;
   std::vector<double> levels_;
 
-  /// The pruning gate (packed columns + envelopes + coarse rows),
-  /// rebuilt per run_ect run; see block_envelope.h.
+  /// The pruning gate (packed columns + task-size grid), rebuilt per
+  /// run_ect run; see block_envelope.h.
   BoundGate gate_;
 
   // kAbandon's blocked path only needs the ready column in sorted layout
@@ -327,7 +328,7 @@ class ChurnScheduler {
   bool step_blocked_ = false;
   std::vector<double> step_tasks_;     ///< retained for advance_time resets
   std::vector<double> step_slowdown_;  ///< per-host derate; empty = all 1
-  std::vector<double> step_bounds_;    ///< level-A scratch for select_ect
+  std::vector<double> step_bounds_;    ///< bound scratch for select_ect
   ChurnScheduleTotals step_totals_;
 };
 

@@ -8,33 +8,29 @@ namespace resmodel::churn {
 
 namespace {
 
-// Fills per_host[i] for i in chunk-claimed ranges. Each host's stream was
-// forked up front in host order, so any thread may fill any host.
-void fill_hosts(std::vector<std::vector<synth::AvailabilityInterval>>& per_host,
-                std::span<const synth::AvailabilityParams> params,
-                bool shared_params, double start_day, double end_day,
-                std::vector<util::Rng>& host_rngs, synth::StartMode mode,
-                int threads) {
-  const std::size_t n = per_host.size();
-  // Interval sampling is ~a hundred distribution draws per host; chunks of
-  // 256 keep claim traffic negligible without starving the pool.
-  constexpr std::size_t kChunk = 256;
-  util::parallel_for((n + kChunk - 1) / kChunk, threads,
-                     [&](std::size_t chunk) {
-    const std::size_t begin = chunk * kChunk;
-    const std::size_t end = std::min(n, begin + kChunk);
-    for (std::size_t i = begin; i < end; ++i) {
-      const synth::AvailabilityModel model(
-          shared_params ? params[0] : params[i]);
-      per_host[i] = model.generate(start_day, end_day, host_rngs[i], mode);
-    }
-  });
+// Interval sampling is ~a hundred distribution draws per host; chunks of
+// 256 keep claim traffic negligible without starving the pool.
+constexpr std::size_t kChunk = 256;
+
+// Writes one host's intervals into its column slices with the running
+// ON-day total — the one place the cum_ends prefix sum is computed.
+void write_host(std::span<const synth::AvailabilityInterval> intervals,
+                double* starts, double* ends, double* cum_ends) {
+  double accrued = 0.0;
+  for (std::size_t i = 0; i < intervals.size(); ++i) {
+    starts[i] = intervals[i].start_day;
+    ends[i] = intervals[i].end_day;
+    accrued += intervals[i].end_day - intervals[i].start_day;
+    cum_ends[i] = accrued;
+  }
 }
 
-IntervalTimeline generate_impl(std::span<const synth::AvailabilityParams> params,
-                               bool shared_params, std::size_t host_count,
-                               double start_day, double end_day, util::Rng& rng,
-                               synth::StartMode mode, int threads) {
+}  // namespace
+
+IntervalTimeline IntervalTimeline::generate_impl(
+    std::span<const synth::AvailabilityParams> params, bool shared_params,
+    std::size_t host_count, double start_day, double end_day, util::Rng& rng,
+    synth::StartMode mode, int threads) {
   // Validate up front (one model per distinct param set is built again in
   // the fill loop, but a throw must happen here on the calling thread).
   if (shared_params) {
@@ -48,13 +44,50 @@ IntervalTimeline generate_impl(std::span<const synth::AvailabilityParams> params
   host_rngs.reserve(host_count);
   for (std::size_t i = 0; i < host_count; ++i) host_rngs.push_back(rng.fork());
 
-  std::vector<std::vector<synth::AvailabilityInterval>> per_host(host_count);
-  fill_hosts(per_host, params, shared_params, start_day, end_day, host_rngs,
-             mode, threads);
-  return IntervalTimeline::from_intervals(per_host, start_day, end_day);
+  // Each chunk of hosts appends its intervals to one chunk-local buffer
+  // and records its hosts' counts (in offsets_[h + 1]); a prefix sum then
+  // turns the counts into offsets and every chunk copies its buffer into
+  // its slice of the columns, again in parallel.
+  IntervalTimeline timeline;
+  timeline.start_ = start_day;
+  timeline.end_ = end_day;
+  timeline.offsets_.assign(host_count + 1, 0);
+  const std::size_t chunks = (host_count + kChunk - 1) / kChunk;
+  std::vector<std::vector<synth::AvailabilityInterval>> buffers(chunks);
+  util::parallel_for(chunks, threads, [&](std::size_t chunk) {
+    const std::size_t begin = chunk * kChunk;
+    const std::size_t end = std::min(host_count, begin + kChunk);
+    for (std::size_t i = begin; i < end; ++i) {
+      const synth::AvailabilityModel model(
+          shared_params ? params[0] : params[i]);
+      const std::vector<synth::AvailabilityInterval> host =
+          model.generate(start_day, end_day, host_rngs[i], mode);
+      buffers[chunk].insert(buffers[chunk].end(), host.begin(), host.end());
+      timeline.offsets_[i + 1] = host.size();
+    }
+  });
+  for (std::size_t h = 0; h < host_count; ++h) {
+    timeline.offsets_[h + 1] += timeline.offsets_[h];
+  }
+  const std::uint64_t total = timeline.offsets_[host_count];
+  timeline.starts_.resize(total);
+  timeline.ends_.resize(total);
+  timeline.cum_ends_.resize(total);
+  util::parallel_for(chunks, threads, [&](std::size_t chunk) {
+    const std::size_t begin = chunk * kChunk;
+    const std::size_t end = std::min(host_count, begin + kChunk);
+    const synth::AvailabilityInterval* src = buffers[chunk].data();
+    for (std::size_t h = begin; h < end; ++h) {
+      const std::uint64_t at = timeline.offsets_[h];
+      const std::size_t count = timeline.interval_count(h);
+      write_host({src, count}, timeline.starts_.data() + at,
+                 timeline.ends_.data() + at, timeline.cum_ends_.data() + at);
+      src += count;
+    }
+    std::vector<synth::AvailabilityInterval>().swap(buffers[chunk]);
+  });
+  return timeline;
 }
-
-}  // namespace
 
 IntervalTimeline IntervalTimeline::generate(
     const synth::AvailabilityModel& model, std::size_t host_count,
@@ -89,15 +122,9 @@ IntervalTimeline IntervalTimeline::from_intervals(
   timeline.ends_.resize(total);
   timeline.cum_ends_.resize(total);
   for (std::size_t h = 0; h < per_host.size(); ++h) {
-    std::uint64_t at = timeline.offsets_[h];
-    double accrued = 0.0;
-    for (const synth::AvailabilityInterval& interval : per_host[h]) {
-      timeline.starts_[at] = interval.start_day;
-      timeline.ends_[at] = interval.end_day;
-      accrued += interval.end_day - interval.start_day;
-      timeline.cum_ends_[at] = accrued;
-      ++at;
-    }
+    const std::uint64_t at = timeline.offsets_[h];
+    write_host(per_host[h], timeline.starts_.data() + at,
+               timeline.ends_.data() + at, timeline.cum_ends_.data() + at);
   }
   return timeline;
 }

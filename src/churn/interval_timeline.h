@@ -47,8 +47,10 @@ class IntervalTimeline {
 
   /// Generates `host_count` timelines over [start_day, end_day) from one
   /// shared availability model. Forks `rng` once per host in host order,
-  /// then fills hosts in parallel chunks (threads == 0 uses the hardware
-  /// concurrency; the result is identical for any thread count).
+  /// then fills hosts in parallel chunks straight into the CSR columns
+  /// (threads == 0 uses the hardware concurrency; the result is
+  /// identical for any thread count, and to from_intervals() over the
+  /// same per-host draws).
   static IntervalTimeline generate(const synth::AvailabilityModel& model,
                                    std::size_t host_count, double start_day,
                                    double end_day, util::Rng& rng,
@@ -116,6 +118,13 @@ class IntervalTimeline {
       std::size_t host) const;
 
  private:
+  /// Shared body of both generate() overloads (`params` holds one entry
+  /// when `shared_params`, else one per host).
+  static IntervalTimeline generate_impl(
+      std::span<const synth::AvailabilityParams> params, bool shared_params,
+      std::size_t host_count, double start_day, double end_day,
+      util::Rng& rng, synth::StartMode mode, int threads);
+
   std::vector<std::uint64_t> offsets_;  ///< host_count + 1 entries
   std::vector<double> starts_;
   std::vector<double> ends_;

@@ -1,18 +1,23 @@
-// Soundness properties of the churn pruning gate (block_envelope.h):
-// every bound the gate hands the scheduler — per-lane sweep values,
-// per-block envelope queries, coarse-row entries — must, after deflation
-// by the gate's margin, never exceed the exact double completion the
-// reference kernel computes. With the gate's float32 columns this is the
-// round-trip property: f32 bound * margin <= f64 completion, for every
-// host and task, including after the gate has been advanced through
-// staleness-epoch territory by a real run.
+// Properties of the churn pruning gate (block_envelope.h): every bound
+// it hands the scheduler — per-lane sweep values, grid entries, the
+// envelope a task reads off its grid row — must, after deflation by the
+// gate's margin, never exceed the exact double completion the reference
+// kernel computes. With the gate's float32 columns this is the round-trip
+// property: f32 bound * margin <= f64 completion, for every host and
+// task, including dirty (not yet repaired) entries after a real run. The
+// grid's shape and the dirty-bit bookkeeping are pinned directly.
 #include "churn/block_envelope.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
 #include <limits>
 #include <span>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "churn/churn_scheduler.h"
@@ -54,35 +59,56 @@ constexpr InterruptionPolicy kGatedPolicies[] = {
 /// default, the minimum, and two in between.
 constexpr std::size_t kLevelVariants[] = {8, 1, 3, 4};
 
-/// Asserts, for every host and probe task, lane/envelope/coarse bound
-/// soundness against the exact completion of the CURRENT cursor state.
+/// Exact minimum completion over each block's hosts for `task`.
+std::vector<double> exact_block_min(ChurnScheduler& sched,
+                                    const sim::ScheduleState& state,
+                                    InterruptionPolicy policy, double task) {
+  constexpr std::size_t kBlock = sim::ScheduleState::kBlockSize;
+  std::vector<double> block_min(state.block_count(),
+                                std::numeric_limits<double>::infinity());
+  for (std::size_t h = 0; h < state.size(); ++h) {
+    const double done = sched.completion_for_test(h, task, policy);
+    double& m = block_min[state.ect_pos[h] / kBlock];
+    m = std::min(m, done);
+  }
+  return block_min;
+}
+
+/// Asserts lane, grid-entry and envelope soundness against the exact
+/// completions of the CURRENT cursor state: every lane at every probe,
+/// every grid entry (clean or dirty) at its own position, and the
+/// envelope each probe reads off its grid row.
 void expect_gate_sound(ChurnScheduler& sched, sim::ScheduleState& state,
                        InterruptionPolicy policy,
                        std::span<const double> probes) {
   const BoundGate& gate = sched.gate();
   const double margin = gate.margin();
-  constexpr std::size_t kBlock = sim::ScheduleState::kBlockSize;
+  const std::span<const double> positions = gate.positions();
+  for (std::size_t j = 0; j < positions.size(); ++j) {
+    const std::vector<double> block_min =
+        exact_block_min(sched, state, policy, positions[j]);
+    for (std::size_t b = 0; b < state.block_count(); ++b) {
+      EXPECT_LE(gate.row(j)[b] * margin, block_min[b])
+          << "grid entry unsound: block " << b << " position " << j
+          << ((gate.dirty_mask(b) >> j) & 1 ? " (dirty)" : " (clean)");
+    }
+  }
   for (const double task : probes) {
-    std::vector<double> block_min(state.block_count(),
-                                  std::numeric_limits<double>::infinity());
     for (std::size_t h = 0; h < state.size(); ++h) {
       const double done = sched.completion_for_test(h, task, policy);
-      const std::size_t pos = state.ect_pos[h];
-      const double lane = gate.lane_bound(pos, task);
+      const double lane = gate.lane_bound(state.ect_pos[h], task);
       EXPECT_LE(lane * margin, done)
           << "lane bound unsound: host " << h << " task " << task;
-      block_min[pos / kBlock] = std::min(block_min[pos / kBlock], done);
     }
+    const std::vector<double> block_min =
+        exact_block_min(sched, state, policy, task);
+    const std::size_t j = gate.position_of(task);
+    ASSERT_LE(positions[j], task);
     for (std::size_t b = 0; b < state.block_count(); ++b) {
-      EXPECT_LE(gate.block_bound(b, task) * margin, block_min[b])
-          << "block bound unsound: block " << b << " task " << task;
-      const std::size_t bucket = gate.bucket_of(task);
-      const double edge = gate.bucket_edge(bucket);
-      EXPECT_LE(edge, task);
-      const double coarse = gate.coarse_row(bucket)[b] +
-                            (task - edge) * state.ect_block_min_inv[b];
-      EXPECT_LE(coarse * margin, block_min[b])
-          << "coarse bound unsound: block " << b << " task " << task;
+      const double envelope = gate.row(j)[b] + (task - positions[j]) *
+                                                   state.ect_block_min_inv[b];
+      EXPECT_LE(envelope * margin, block_min[b])
+          << "envelope unsound: block " << b << " task " << task;
     }
   }
 }
@@ -105,70 +131,220 @@ TEST(BoundGate, AllBoundsSoundOnFreshState) {
   }
 }
 
-// The float32 round-trip property after a real run: the gate has been
-// through per-assignment repairs AND full staleness epochs (the run
-// funnels hundreds of tasks through a few fast blocks), and every
-// retained bound must still deflate below the exact completion of the
-// post-run cursor state.
-TEST(BoundGate, BoundsStaySoundThroughStalenessEpochs) {
+// The float32 round-trip property after a real run: a handful of much
+// faster hosts funnels hundreds of assignments into one block, so its
+// grid entries go dirty and get refreshed again and again, and the run
+// ends with entries still dirty. Every retained bound — clean or dirty —
+// must still deflate below the exact completion of the post-run state.
+TEST(BoundGate, BoundsStaySoundAfterFunnelledRun) {
   const std::size_t n = 192;  // three blocks
   std::vector<double> rates = random_rates(n, 21);
-  // A handful of much faster hosts concentrates assignments into one
-  // block, cycling its stale counter through multiple rebuild epochs.
   for (std::size_t h = 0; h < 8; ++h) rates[h] = 60000.0 + 100.0 * h;
   const IntervalTimeline timeline = model_timeline(n, 22);
-  const std::vector<double> tasks = random_tasks(BoundGate::kStaleLimit * 24,
-                                                 23);
+  const std::vector<double> tasks = random_tasks(400, 23);
   const std::vector<double> probes = random_tasks(32, 24);
-  for (const InterruptionPolicy policy : kGatedPolicies) {
-    sim::ScheduleState state =
-        sim::ScheduleState::from_rates(std::vector<double>(rates));
-    ChurnScheduler sched(state, timeline, {});
-    sched.run(tasks, policy);
-    // Probes must lie inside the run's bucket range for coarse-row
-    // queries (same sampler, so they do).
-    expect_gate_sound(sched, state, policy, probes);
+  for (const std::size_t levels : kLevelVariants) {
+    for (const InterruptionPolicy policy : kGatedPolicies) {
+      sim::ScheduleState state =
+          sim::ScheduleState::from_rates(std::vector<double>(rates));
+      ChurnSchedulerConfig config;
+      config.lookahead_levels = levels;
+      ChurnScheduler sched(state, timeline, config);
+      sched.run(tasks, policy);
+      std::size_t dirty = 0;
+      for (std::size_t b = 0; b < state.block_count(); ++b) {
+        dirty += static_cast<std::size_t>(
+            std::popcount(sched.gate().dirty_mask(b)));
+      }
+      EXPECT_GT(dirty, 0u) << "the run left no dirty entry to check";
+      expect_gate_sound(sched, state, policy, probes);
+    }
   }
 }
 
-TEST(BoundGate, EveryBlockHasBoundedKnots) {
-  const std::size_t n = 130;
-  const std::vector<double> rates = random_rates(n, 31);
-  const IntervalTimeline timeline = model_timeline(n, 32);
-  const std::vector<double> tasks = random_tasks(16, 33);
-
-  sim::ScheduleState state =
-      sim::ScheduleState::from_rates(std::vector<double>(rates));
-  ChurnScheduler sched(state, timeline, {});
-  sched.prime_gate_for_test(tasks, InterruptionPolicy::kCheckpoint);
-  for (std::size_t b = 0; b < state.block_count(); ++b) {
-    const std::size_t knots = sched.gate().knot_count(b);
-    EXPECT_GE(knots, 1u);  // the t = 0 anchor at least
-    EXPECT_LE(knots, BoundGate::kKnotCapacity);
+TEST(BoundGate, GridHoldsZeroAndFloatRoundedTaskQuantiles) {
+  const std::vector<double> tasks = random_tasks(5000, 31);
+  const std::vector<double> positions = BoundGate::grid_positions(tasks);
+  ASSERT_FALSE(positions.empty());
+  EXPECT_EQ(positions[0], 0.0);
+  EXPECT_LE(positions.size(), BoundGate::kGridSize);
+  EXPECT_EQ(positions.size(), BoundGate::kGridSize);  // distinct quantiles
+  std::vector<double> sorted = tasks;
+  std::sort(sorted.begin(), sorted.end());
+  for (std::size_t j = 1; j < positions.size(); ++j) {
+    EXPECT_LT(positions[j - 1], positions[j]);
+    // Float-representable, so the float32 sweep evaluates exactly there.
+    EXPECT_EQ(static_cast<double>(static_cast<float>(positions[j])),
+              positions[j]);
+    // Rounded DOWN from its quantile: at most the quantile, and within
+    // one float ulp of it.
+    const std::size_t k = j - 1;
+    const double q = sorted[k * sorted.size() / (BoundGate::kGridSize - 1)];
+    EXPECT_LE(positions[j], q);
+    EXPECT_GT(std::nextafter(static_cast<float>(positions[j]),
+                             std::numeric_limits<float>::infinity()),
+              q);
   }
+  // Duplicates collapse: three distinct sizes give 0 plus themselves.
+  const std::vector<double> small =
+      BoundGate::grid_positions(std::vector<double>{50.0, 900.0, 4000.0});
+  EXPECT_EQ(small, (std::vector<double>{0.0, 50.0, 900.0, 4000.0}));
+  // A size that is no float rounds down, never up.
+  const double odd = 1000.0 + 1e-9;
+  const std::vector<double> rounded =
+      BoundGate::grid_positions(std::vector<double>{odd});
+  ASSERT_EQ(rounded.size(), 2u);
+  EXPECT_LT(rounded[1], odd);
+  // No usable size leaves just the zero anchor.
+  EXPECT_EQ(BoundGate::grid_positions({}), std::vector<double>{0.0});
 }
 
-TEST(BoundGate, BucketEdgesCoverEveryPositiveTask) {
+TEST(BoundGate, PositionOfIsTheLastPositionAtOrBelowTheTask) {
   const std::size_t n = 80;
-  const std::vector<double> rates = random_rates(n, 41);
   const IntervalTimeline timeline = model_timeline(n, 42);
-  const std::vector<double> tasks = {50.0, 900.0, 4000.0};
-  sim::ScheduleState state =
-      sim::ScheduleState::from_rates(std::vector<double>(rates));
+  sim::ScheduleState state = sim::ScheduleState::from_rates(random_rates(n, 41));
   ChurnScheduler sched(state, timeline, {});
-  sched.prime_gate_for_test(tasks, InterruptionPolicy::kCheckpoint);
+  sched.prime_gate_for_test(std::vector<double>{50.0, 900.0, 4000.0},
+                            InterruptionPolicy::kCheckpoint);
   const BoundGate& gate = sched.gate();
-  // Edge 0 is exactly 0: tasks below the smallest workload size still
-  // anchor at a valid bucket (min-ready bound).
-  EXPECT_EQ(gate.bucket_edge(0), 0.0);
-  EXPECT_EQ(gate.bucket_of(1e-9), 0u);
-  // The smallest workload size anchors at its own edge (edge 1 == tmin).
-  EXPECT_EQ(gate.bucket_edge(gate.bucket_of(50.0)), 50.0);
-  for (const double t : {0.5, 49.9, 50.0, 2000.0, 4000.0, 9000.0}) {
-    const std::size_t bucket = gate.bucket_of(t);
-    ASSERT_LT(bucket, BoundGate::kBuckets);
-    EXPECT_LE(gate.bucket_edge(bucket), t);
+  ASSERT_EQ(gate.positions().size(), 4u);
+  EXPECT_EQ(gate.position_of(-1.0), 0u);
+  EXPECT_EQ(gate.position_of(1e-9), 0u);
+  EXPECT_EQ(gate.position_of(49.9), 0u);
+  EXPECT_EQ(gate.position_of(50.0), 1u);
+  EXPECT_EQ(gate.position_of(2000.0), 2u);
+  EXPECT_EQ(gate.position_of(4000.0), 3u);
+  EXPECT_EQ(gate.position_of(9000.0), 3u);
+}
+
+/// Cursor columns for a gate driven directly (no scheduler): arbitrary
+/// non-negative values are enough, the gate only packs and bounds them.
+struct SyntheticCursors {
+  static constexpr std::size_t kLevels = 2;
+  std::vector<double> ready, sess_rem, next_start, accr, levels;
+
+  explicit SyntheticCursors(std::size_t n, std::uint64_t seed)
+      : ready(n), sess_rem(n), next_start(n), accr(n),
+        levels(n * 2 * kLevels) {
+    util::Rng rng(seed);
+    for (std::size_t h = 0; h < n; ++h) {
+      ready[h] = rng.uniform() * 5.0;
+      sess_rem[h] = 0.05 + rng.uniform() * 2.0;
+      next_start[h] = ready[h] + sess_rem[h] + rng.uniform() * 3.0;
+      accr[h] = rng.uniform() * 10.0;
+      double* lv = levels.data() + h * 2 * kLevels;
+      double cum = accr[h] + sess_rem[h];
+      double phi = next_start[h] - accr[h];
+      for (std::size_t k = 0; k < kLevels; ++k) {
+        cum += 0.05 + rng.uniform() * 2.0;
+        phi += rng.uniform() * 3.0;
+        lv[k] = cum;
+        lv[kLevels + k] = phi;
+      }
+    }
   }
+  CursorView view() const {
+    return {ready, sess_rem, next_start, accr, levels, kLevels};
+  }
+};
+
+/// The exact block minimum the gate stores: min over the block's lane
+/// bounds at `task`, and the first lane attaining it.
+std::pair<double, std::uint8_t> block_lane_min(const BoundGate& gate,
+                                               std::size_t blk,
+                                               double task) {
+  constexpr std::size_t kBlock = BoundGate::kBlock;
+  double m = gate.lane_bound(blk * kBlock, task);
+  std::uint8_t arg = 0;
+  for (std::size_t i = 1; i < kBlock; ++i) {
+    const double v = gate.lane_bound(blk * kBlock + i, task);
+    if (v < m) {
+      m = v;
+      arg = static_cast<std::uint8_t>(i);
+    }
+  }
+  return {m, arg};
+}
+
+TEST(BoundGate, ReassignmentDirtiesExactlyItsArgminEntries) {
+  const std::size_t n = 200;  // four blocks, the last one partial
+  sim::ScheduleState state =
+      sim::ScheduleState::from_rates(random_rates(n, 61));
+  state.ensure_ect_caches();
+  SyntheticCursors cursors(n, 62);
+  const std::vector<double> tasks = random_tasks(500, 63);
+  BoundGate gate(backend::SimdLevel::kNone);
+  gate.reset(state, cursors.view(), tasks, InterruptionPolicy::kCheckpoint);
+  const std::span<const double> positions = gate.positions();
+  ASSERT_EQ(positions.size(), BoundGate::kGridSize);
+  for (std::size_t b = 0; b < state.block_count(); ++b) {
+    EXPECT_EQ(gate.dirty_mask(b), 0u);
+    for (std::size_t j = 0; j < positions.size(); ++j) {
+      const auto [m, arg] = block_lane_min(gate, b, positions[j]);
+      EXPECT_EQ(gate.row(j)[b], m);
+      EXPECT_EQ(gate.argmin_lane(b, j), arg);
+    }
+  }
+
+  const std::size_t blk = 1;
+  std::uint64_t expected = 0;
+  // Reassign, in turn, a lane that is argmin of no position (first, so
+  // any spurious bit shows on a clean mask), then the lanes recorded as
+  // argmin of the first and of a later position: each assignment must
+  // OR in exactly the positions whose recorded argmin was that lane.
+  std::vector<std::size_t> lanes;
+  for (std::size_t lane = 0; lane < BoundGate::kBlock; ++lane) {
+    bool argmin_somewhere = false;
+    for (std::size_t j = 0; j < positions.size(); ++j) {
+      argmin_somewhere |= gate.argmin_lane(blk, j) == lane;
+    }
+    if (!argmin_somewhere) {
+      lanes.push_back(lane);
+      break;
+    }
+  }
+  lanes.push_back(gate.argmin_lane(blk, 0));
+  lanes.push_back(gate.argmin_lane(blk, 40));
+  ASSERT_EQ(lanes.size(), 3u);
+  for (const std::size_t lane : lanes) {
+    std::uint64_t bits = 0;
+    for (std::size_t j = 0; j < positions.size(); ++j) {
+      if (gate.argmin_lane(blk, j) == lane) bits |= std::uint64_t{1} << j;
+    }
+    const std::size_t host = state.ect_order[blk * BoundGate::kBlock + lane];
+    // The assignment moves the host's cursor forward: later ready,
+    // less of the session left.
+    cursors.ready[host] += 4.0;
+    cursors.next_start[host] += 4.0;
+    gate.on_assign(host, state, cursors.view());
+    expected |= bits;
+    EXPECT_EQ(gate.dirty_mask(blk), expected) << "lane " << lane;
+    for (std::size_t b = 0; b < state.block_count(); ++b) {
+      if (b != blk) {
+        EXPECT_EQ(gate.dirty_mask(b), 0u);
+      }
+    }
+  }
+  ASSERT_NE(expected, 0u);
+
+  // A refresh repairs exactly the dirty entries: the bit clears and the
+  // entry is again the exact block minimum with its argmin; a clean
+  // entry is left untouched.
+  for (std::size_t j = 0; j < positions.size(); ++j) {
+    const bool was_dirty = (expected >> j) & 1;
+    const double before = gate.row(j)[blk];
+    EXPECT_EQ(gate.refresh(blk, j), was_dirty) << "position " << j;
+    EXPECT_EQ((gate.dirty_mask(blk) >> j) & 1, 0u);
+    const auto [m, arg] = block_lane_min(gate, blk, positions[j]);
+    EXPECT_EQ(gate.row(j)[blk], m) << "position " << j;
+    EXPECT_EQ(gate.argmin_lane(blk, j), arg) << "position " << j;
+    if (was_dirty) {
+      EXPECT_GE(gate.row(j)[blk], before);  // a repair only raises
+    } else {
+      EXPECT_EQ(gate.row(j)[blk], before);
+    }
+  }
+  EXPECT_EQ(gate.dirty_mask(blk), 0u);
 }
 
 TEST(ChurnSchedulerConfigValidation, RejectsOutOfRangeLevels) {

@@ -164,18 +164,17 @@ TEST(ChurnScheduler, GoldenDenseNearTies) {
   }
 }
 
-TEST(ChurnScheduler, GoldenStaleEnvelopeEpochs) {
-  // Adversarial for the incremental envelope: a cluster of much faster
-  // hosts pulls nearly every assignment into one block, cycling its
-  // stale counter through many repair + full-rebuild epochs; the
-  // schedule must stay bit-identical throughout.
+TEST(ChurnScheduler, GoldenFunnelledBlockRepairs) {
+  // Adversarial for the lazily repaired grid: a cluster of much faster
+  // hosts pulls nearly every assignment into one block, so its entries
+  // go dirty and get refreshed over and over; the schedule must stay
+  // bit-identical throughout.
   std::vector<double> rates = random_rates(192, 151);
   for (std::size_t h = 100; h < 108; ++h) {
     rates[h] = 80000.0 + 10.0 * static_cast<double>(h);
   }
   const IntervalTimeline timeline = model_timeline(192, 152);
-  const std::vector<double> tasks =
-      random_tasks(churn::BoundGate::kStaleLimit * 40, 153);
+  const std::vector<double> tasks = random_tasks(640, 153);
   for (const InterruptionPolicy policy : kAllPolicies) {
     expect_run_identical(rates, timeline, tasks, policy);
   }

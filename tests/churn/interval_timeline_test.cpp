@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "synth/availability.h"
@@ -14,12 +15,13 @@ namespace {
 // host in host order, then generate each host from its own fork.
 std::vector<std::vector<synth::AvailabilityInterval>> manual_intervals(
     const synth::AvailabilityModel& model, std::size_t hosts, double start,
-    double end, util::Rng& rng) {
+    double end, util::Rng& rng,
+    synth::StartMode mode = synth::StartMode::kOnAtStart) {
   std::vector<util::Rng> forks;
   for (std::size_t h = 0; h < hosts; ++h) forks.push_back(rng.fork());
   std::vector<std::vector<synth::AvailabilityInterval>> per_host(hosts);
   for (std::size_t h = 0; h < hosts; ++h) {
-    per_host[h] = model.generate(start, end, forks[h]);
+    per_host[h] = model.generate(start, end, forks[h], mode);
   }
   return per_host;
 }
@@ -42,6 +44,53 @@ TEST(IntervalTimeline, MatchesPerHostGenerationExactly) {
   }
   // Both consumed the caller's stream identically (one fork per host).
   EXPECT_EQ(rng_tl.next(), rng_manual.next());
+}
+
+TEST(IntervalTimeline, GenerateMatchesFromIntervalsColumnForColumn) {
+  // generate() fills its CSR columns chunk by chunk (256 hosts each);
+  // over several chunks, a partial last one and hosts with no interval
+  // at all (a stationary start can open on a long OFF residual), every
+  // column must equal the round-trip adapter's — offsets, starts, ends
+  // and the cum_ends prefix sums, which must also be the running ON
+  // totals of the per-host draws.
+  synth::AvailabilityParams params;
+  // Widely spread OFF gaps: most hosts get several intervals, while a
+  // long OFF residual at the start empties some hosts' windows.
+  params.off_lognormal_mu = 0.0;
+  params.off_lognormal_sigma = 2.5;
+  const synth::AvailabilityModel model(params);
+  const std::size_t hosts = 600;
+  for (const int threads : {1, 3}) {
+    util::Rng rng_tl(17), rng_manual(17);
+    const IntervalTimeline timeline = IntervalTimeline::generate(
+        model, hosts, 0.0, 10.0, rng_tl, synth::StartMode::kStationary,
+        threads);
+    const auto manual = manual_intervals(model, hosts, 0.0, 10.0, rng_manual,
+                                         synth::StartMode::kStationary);
+    const IntervalTimeline expected =
+        IntervalTimeline::from_intervals(manual, 0.0, 10.0);
+    ASSERT_EQ(timeline.host_count(), hosts);
+    ASSERT_EQ(timeline.total_intervals(), expected.total_intervals());
+    std::size_t empty_hosts = 0;
+    std::size_t most_intervals = 0;
+    for (std::size_t h = 0; h < hosts; ++h) {
+      ASSERT_EQ(timeline.interval_count(h), expected.interval_count(h))
+          << "host " << h;
+      empty_hosts += timeline.interval_count(h) == 0 ? 1 : 0;
+      most_intervals = std::max(most_intervals, timeline.interval_count(h));
+      double accrued = 0.0;  // the running ON total, summed here
+      for (std::size_t i = 0; i < timeline.interval_count(h); ++i) {
+        EXPECT_EQ(timeline.starts(h)[i], expected.starts(h)[i]);
+        EXPECT_EQ(timeline.ends(h)[i], expected.ends(h)[i]);
+        EXPECT_EQ(timeline.cum_ends(h)[i], expected.cum_ends(h)[i]);
+        accrued += manual[h][i].end_day - manual[h][i].start_day;
+        EXPECT_EQ(timeline.cum_ends(h)[i], accrued);
+      }
+    }
+    EXPECT_GT(empty_hosts, 0u);
+    EXPECT_GE(most_intervals, 8u);
+    EXPECT_EQ(rng_tl.next(), rng_manual.next());
+  }
 }
 
 TEST(IntervalTimeline, ThreadCountInvariant) {
