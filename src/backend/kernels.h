@@ -9,11 +9,13 @@
 //                       the smallest ORIGINAL host index attaining it.
 //   column_min        — plain min over a contiguous double column (the
 //                       per-block free_at / ready_at refresh).
-//   row_bounds_argmin — the churn gate's per-task grid-row pass:
-//                       bounds[b] = row[b] + over * bmin_inv[b] for
-//                       every block, returning the FIRST index
-//                       attaining the row minimum (the warm-start
-//                       block).
+//   row_bounds_argmin — bounds[i] = row[i] + over * bmin_inv[i] for
+//                       every entry, returning the FIRST index
+//                       attaining the minimum: the churn gate's
+//                       warm-start search runs it once over the group
+//                       row of its grid summary and once per expanded
+//                       16-block group (the ECT sweep's warm start runs
+//                       it over its block row).
 //   gate_sweep        — churn::BoundGate's per-block sweep over one
 //                       padded 64-lane block of float32 columns
 //                       (checkpoint level routing or the restart

@@ -90,12 +90,51 @@ void BoundGate::eval_entry(std::size_t blk, std::size_t j) noexcept {
   argmin_[blk * kGridSize + j] = arg;
 }
 
+void BoundGate::eval_group(std::size_t g, std::size_t j) noexcept {
+  const std::size_t lo = g * kGroup;
+  const std::size_t len = std::min(blocks_ - lo, kGroup);
+  gmin_[j * groups_ + g] = ops_->column_min(row(j) + lo, len);
+}
+
 bool BoundGate::refresh(std::size_t blk, std::size_t j) noexcept {
   const std::uint64_t bit = std::uint64_t{1} << j;
   if ((dirty_[blk] & bit) == 0) return false;
   eval_entry(blk, j);
+  eval_group(blk / kGroup, j);
   dirty_[blk] &= ~bit;
   return true;
+}
+
+std::size_t BoundGate::first_argmin_block(std::size_t j, double over,
+                                          double* gb) const noexcept {
+  // Both passes run through the dispatch table's first-argmin row
+  // kernel, once over the group row and once per expanded group.
+  const double* grow = row(j);
+  double bounds[kGroup];
+  std::size_t best = std::numeric_limits<std::size_t>::max();
+  double m = std::numeric_limits<double>::infinity();
+  const auto expand = [&](std::size_t g) {
+    const std::size_t lo = g * kGroup;
+    const std::size_t i = ops_->row_bounds_argmin(
+        grow + lo, bmin_inv_.data() + lo, over,
+        std::min(blocks_ - lo, kGroup), bounds);
+    if (bounds[i] < m || (bounds[i] == m && lo + i < best)) {
+      m = bounds[i];
+      best = lo + i;
+    }
+  };
+  // The tightest group usually holds the answer, but not always: its
+  // bound mixes the minimum entry of one member with the minimum inv of
+  // another. Every group whose bound does not exceed the incumbent may
+  // hold a lower bound, or an equal one at a lower index, so each is
+  // expanded too (<=, not <: the tie-break needs the equal ones).
+  const std::size_t tightest = ops_->row_bounds_argmin(
+      group_row(j), ginv_.data(), over, groups_, gb);
+  expand(tightest);
+  for (std::size_t g = 0; g < groups_; ++g) {
+    if (g != tightest && gb[g] <= m) expand(g);
+  }
+  return best;
 }
 
 std::vector<double> BoundGate::grid_positions(std::span<const double> tasks) {
@@ -148,6 +187,17 @@ void BoundGate::reset(const sim::ScheduleState& state,
   dirty_.assign(blocks_, 0);
   for (std::size_t b = 0; b < blocks_; ++b) {
     for (std::size_t j = 0; j < positions_.size(); ++j) eval_entry(b, j);
+  }
+
+  groups_ = (blocks_ + kGroup - 1) / kGroup;
+  bmin_inv_ = state.ect_block_min_inv;
+  ginv_.resize(groups_);
+  gmin_.resize(positions_.size() * groups_);
+  for (std::size_t g = 0; g < groups_; ++g) {
+    const std::size_t lo = g * kGroup;
+    ginv_[g] = ops_->column_min(bmin_inv_.data() + lo,
+                                std::min(blocks_ - lo, kGroup));
+    for (std::size_t j = 0; j < positions_.size(); ++j) eval_group(g, j);
   }
 }
 

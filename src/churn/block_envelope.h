@@ -30,9 +30,8 @@
 // positions in all. Each quantile is rounded DOWN to a float, so the
 // float32 sweep evaluates exactly at t_j and t_j never exceeds the task
 // that anchors on it. The gate keeps the position-major table
-// grid[j * blocks + b] = v_j(b) — one contiguous row per position, which
-// is the scheduler's per-task all-blocks bound row — and the argmin lane
-// of every entry.
+// grid[j * blocks + b] = v_j(b) — one contiguous row per position — and
+// the argmin lane of every entry.
 //
 // LAZY REPAIR. Only an assignment to a host inside a block changes that
 // block's functions, and an assignment moves the host's cursor forward,
@@ -43,9 +42,25 @@
 // argmin lane was the winner: the only ones that may now be stale-low.
 // Nothing is re-evaluated yet. The scheduler calls refresh() on an entry
 // just before it acts on it — the warm-start block, and each block the
-// row test admits — so a decision is taken either on an exact entry or
+// block test admits — so a decision is taken either on an exact entry or
 // on a stale one that already prunes (a fresh entry is never lower, so
 // it would prune too). Entries nobody consults are never re-evaluated.
+//
+// GROUP SUMMARY. Over each group of kGroup consecutive blocks the gate
+// also keeps gmin[j * groups + g], the minimum of row j's entries over
+// the group, and the static ginv[g], the minimum of block_min_inv over
+// it. refresh() recomputes its group's gmin entry from the group's row
+// entries, so gmin is always exactly the minimum of the STORED entries
+// (stale-low ones included) and
+//
+//   gb_g = gmin_j(g) + over * ginv_g <= row_j[b] + over * bmin_inv_b
+//
+// bit for bit for every member b: all operands are non-negative, fl(+)
+// and fl(*) are monotone, and the library compiles -ffp-contract=off. A
+// task therefore reads the groups' bounds first and only the members of
+// groups that can still matter: first_argmin_block() returns the exact
+// first argmin of the full block row from the group row, and the
+// scheduler's regular pass skips every group whose bound already prunes.
 //
 // FLOAT-PACKED COLUMNS. The swept bound columns are stored as float32:
 // half the bytes per admitted block and twice the SIMD width. Bounds stay
@@ -108,9 +123,9 @@ struct CursorView {
 };
 
 /// The pruning gate for one ChurnScheduler run: packed float32 per-lane
-/// bound columns in rate-sorted layout and the task-size grid of
-/// per-block minima the per-task block scan reads. reset() builds
-/// everything for the run's policy; on_assign() marks what an
+/// bound columns in rate-sorted layout, the task-size grid of per-block
+/// minima and its per-group summary the per-task scan reads. reset()
+/// builds everything for the run's policy; on_assign() marks what an
 /// assignment may have made stale and refresh() repairs it on demand.
 /// All returned bounds are RAW — callers must deflate by margin() before
 /// comparing against exact completions.
@@ -120,6 +135,8 @@ class BoundGate {
   static constexpr std::size_t kBlock = sim::ScheduleState::kBlockSize;
   /// Grid positions, 0 included: one dirty bit each in a block's mask.
   static constexpr std::size_t kGridSize = 64;
+  /// Consecutive blocks per group of the grid summary.
+  static constexpr std::size_t kGroup = 16;
 
   /// `simd` selects the kernel-ops arm the column sweeps run through
   /// (backend::resolve — kNone is the autovectorized blocked baseline).
@@ -136,11 +153,11 @@ class BoundGate {
   /// a float, duplicates dropped (strictly ascending, <= kGridSize).
   static std::vector<double> grid_positions(std::span<const double> tasks);
 
-  /// (Re)builds the packed columns and the grid for a run: `state`
-  /// supplies the rate-sorted layout (ensure_ect_caches() must have
-  /// run), `cursors` the per-host double columns, `tasks` the workload
-  /// the grid positions are drawn from. kAbandon never gates; passing it
-  /// is an error.
+  /// (Re)builds the packed columns, the grid and its group summary for
+  /// a run: `state` supplies the rate-sorted layout and block_min_inv
+  /// (ensure_ect_caches() must have run), `cursors` the per-host double
+  /// columns, `tasks` the workload the grid positions are drawn from.
+  /// kAbandon never gates; passing it is an error.
   void reset(const sim::ScheduleState& state, const CursorView& cursors,
              std::span<const double> tasks, InterruptionPolicy policy);
 
@@ -155,12 +172,41 @@ class BoundGate {
   /// Last grid position <= task (position 0 is 0, so always valid).
   std::size_t position_of(double task) const noexcept;
 
-  /// Row j of the grid, one entry per block: the caller's per-task
-  /// block scan computes row(j)[b] + (task - positions()[j]) *
-  /// ect_block_min_inv[b]. RAW; a dirty entry is stale-LOW (still sound).
+  /// Row j of the grid, one entry per block. RAW; a dirty entry is
+  /// stale-LOW (still sound).
   const double* row(std::size_t j) const noexcept {
     return grid_.data() + j * blocks_;
   }
+
+  /// Block b's envelope for a task at over = task - positions()[j]:
+  /// row(j)[b] + over * ect_block_min_inv[b], the bound every per-block
+  /// test compares. RAW.
+  double block_bound(std::size_t j, std::size_t b,
+                     double over) const noexcept {
+    return grid_[j * blocks_ + b] + over * bmin_inv_[b];
+  }
+
+  /// Groups of kGroup consecutive blocks (the last one may be partial).
+  std::size_t group_count() const noexcept { return groups_; }
+
+  /// Row j of the group summary: entry g is the minimum of row(j) over
+  /// group g's blocks, stored entries as they stand (test hook).
+  const double* group_row(std::size_t j) const noexcept {
+    return gmin_.data() + j * groups_;
+  }
+
+  /// Per group, the minimum of block_min_inv over its blocks (static
+  /// for the run; test hook).
+  std::span<const double> group_min_inv() const noexcept { return ginv_; }
+
+  /// The first block attaining the minimum of block_bound(j, b, over)
+  /// over all blocks — what a full row pass would return — read through
+  /// the group summary: the group row's argmin group is scanned first,
+  /// then every other group whose bound does not exceed the incumbent.
+  /// Writes the group bounds gmin + over * ginv into
+  /// gb[0..group_count()) for the caller's group pass.
+  std::size_t first_argmin_block(std::size_t j, double over,
+                                 double* gb) const noexcept;
 
   /// Bit j set: entry (blk, j) may be stale-low (test hook).
   std::uint64_t dirty_mask(std::size_t blk) const noexcept {
@@ -174,8 +220,9 @@ class BoundGate {
   }
 
   /// If entry (blk, j) is dirty, re-evaluates it to the block's current
-  /// minimum lane bound at positions()[j], clears its bit and returns
-  /// true; a clean entry is left alone (false).
+  /// minimum lane bound at positions()[j], recomputes its group's summary
+  /// entry, clears its bit and returns true; a clean entry is left alone
+  /// (false).
   bool refresh(std::size_t blk, std::size_t j) noexcept;
 
   /// Streams block `blk`'s packed columns and writes 64 per-lane lower
@@ -192,11 +239,14 @@ class BoundGate {
   void eval_block(std::size_t blk, double task, float* lb) const noexcept;
   /// Evaluates entry (blk, j) and its argmin lane; leaves the mask alone.
   void eval_entry(std::size_t blk, std::size_t j) noexcept;
+  /// Recomputes gmin entry (g, j) from the group's stored row entries.
+  void eval_group(std::size_t g, std::size_t j) noexcept;
 
   const backend::KernelOps* ops_;
   InterruptionPolicy policy_ = InterruptionPolicy::kCheckpoint;
   std::size_t levels_ = 0;
   std::size_t blocks_ = 0;
+  std::size_t groups_ = 0;
   std::size_t size_ = 0;  ///< real (unpadded) lane count
   // Flat rate-sorted float32 columns, padded to blocks * kBlock lanes
   // (padding: inv = 0, sess/ready/next = +inf — inert lanes that bound
@@ -207,6 +257,9 @@ class BoundGate {
   std::vector<float> phi_[kMaxLookaheadLevels];
   std::vector<double> positions_;        ///< ascending, [0] = 0
   std::vector<double> grid_;             ///< positions x blocks_, position-major
+  std::vector<double> gmin_;             ///< positions x groups_, position-major
+  std::vector<double> bmin_inv_;         ///< per block, state.ect_block_min_inv
+  std::vector<double> ginv_;             ///< per group, min of bmin_inv_
   std::vector<std::uint8_t> argmin_;     ///< blocks_ x kGridSize, block-major
   std::vector<std::uint64_t> dirty_;     ///< per block, bit j = position j
 };

@@ -338,8 +338,6 @@ std::uint32_t ChurnScheduler::select_ect(double task,
                                          ChurnScheduleTotals& totals,
                                          std::vector<double>& bounds) {
   const std::size_t n = state_.size();
-  constexpr std::size_t kBlock = sim::ScheduleState::kBlockSize;
-  [[maybe_unused]] double lb[kBlock];
   std::uint32_t best = 0;
   double best_done = std::numeric_limits<double>::infinity();
   {
@@ -355,50 +353,33 @@ std::uint32_t ChurnScheduler::select_ect(double task,
         }
       }
     } else {
+      constexpr std::size_t kBlock = sim::ScheduleState::kBlockSize;
+      constexpr std::size_t kGroup = BoundGate::kGroup;
       constexpr double margin = BoundGate::margin();
       const double* inv = state_.ect_sorted_inv.data();
-      const double* bmin_inv = state_.ect_block_min_inv.data();
       const std::uint32_t* order = state_.ect_order.data();
       const std::size_t blocks = state_.block_count();
       // The gate's grid row at the last position <= task, extended by
       // (task - position) * block_min_inv, lower-bounds every completion
-      // in each block — one contiguous read per task. The tightest block
-      // is the warm start: it is evaluated first so the incumbent is
-      // near-optimal before any other block is gated. (Processing order
-      // is result-neutral: pruning only skips hosts that cannot win or
-      // tie.)
+      // in each block; the group summary lower-bounds every member's
+      // bound. The tightest block is the warm start: it is evaluated
+      // first so the incumbent is near-optimal before any other block
+      // is gated. (Processing order is result-neutral: pruning only
+      // skips hosts that cannot win or tie.)
       const std::size_t j = gate_.position_of(task);
       const double over = task - gate_.positions()[j];
-      const double* row = gate_.row(j);
-      // Vectorized row pass through the dispatch table; returns the
-      // FIRST index attaining the row minimum, so the sweep order (and
-      // with it the swept_blocks counter) is arm-invariant. A dirty
-      // entry is stale-low, so the warm block is refreshed and the row
-      // rescanned until the argmin entry is exact: every other entry is
-      // then at least as high, stale or not, so this is the block a
-      // fully repaired row would pick.
-      std::size_t warm =
-          ops_->row_bounds_argmin(row, bmin_inv, over, blocks,
-                                  bounds.data());
+      // The warm search returns the FIRST block attaining the row
+      // minimum, so the sweep order (and with it the swept_blocks
+      // counter) is arm-invariant. A dirty entry is stale-low, so the
+      // warm block is refreshed and the search repeated until its entry
+      // is exact: every other entry is then at least as high, stale or
+      // not, so this is the block a fully repaired row would pick.
+      std::size_t warm = gate_.first_argmin_block(j, over, bounds.data());
       while (gate_.refresh(warm, j)) {
-        warm = ops_->row_bounds_argmin(row, bmin_inv, over, blocks,
-                                       bounds.data());
+        warm = gate_.first_argmin_block(j, over, bounds.data());
       }
-      for (std::size_t bi = 0; bi <= blocks; ++bi) {
-        // Iteration 0 is the warm-start block; the regular pass skips
-        // it: every warm lane that could still win was resolved there,
-        // and best_done only falls.
-        const std::size_t b = bi == 0 ? warm : bi - 1;
-        if (bi != 0) {
-          if (b == warm || bounds[b] * margin > best_done) continue;
-          // Admitted on a dirty entry: repair it and gate again on the
-          // exact minimum (a stale entry that already prunes needs no
-          // repair, the exact one could only prune harder).
-          if (gate_.refresh(b, j) &&
-              (row[b] + over * bmin_inv[b]) * margin > best_done) {
-            continue;
-          }
-        }
+      const auto sweep = [&](std::size_t b) {
+        double lb[kBlock];
         gate_.sweep_block(b, task, lb);
         ++totals.swept_blocks;
         const std::size_t lo = b * kBlock;
@@ -418,7 +399,7 @@ std::uint32_t ChurnScheduler::select_ect(double task,
         }
         double m = cmin[0];
         for (std::size_t c = 1; c < kChunks; ++c) m = std::min(m, cmin[c]);
-        if (m * margin > best_done) continue;
+        if (m * margin > best_done) return;
         for (std::size_t c = 0; c < kChunks; ++c) {
           if (cmin[c] * margin > best_done) continue;
           for (std::size_t i = c * 8; i < c * 8 + 8; ++i) {
@@ -458,6 +439,34 @@ std::uint32_t ChurnScheduler::select_ect(double task,
             }
           }
         }
+      };
+      sweep(warm);
+      // The regular pass walks the groups in index order. A group whose
+      // bound (from the last search, taken before any refresh below)
+      // prunes holds only blocks whose own test prunes: each member's
+      // bound is at least the group's and best_done only falls. The
+      // members of the other groups are tested exactly as a full row
+      // pass would test them.
+      const std::size_t groups = gate_.group_count();
+      for (std::size_t g = 0; g < groups; ++g) {
+        if (bounds[g] * margin > best_done) continue;
+        const std::size_t hi = std::min(blocks, (g + 1) * kGroup);
+        for (std::size_t b = g * kGroup; b < hi; ++b) {
+          // The warm block is done: every warm lane that could still win
+          // was resolved there, and best_done only falls.
+          if (b == warm ||
+              gate_.block_bound(j, b, over) * margin > best_done) {
+            continue;
+          }
+          // Admitted on a dirty entry: repair it and gate again on the
+          // exact minimum (a stale entry that already prunes needs no
+          // repair, the exact one could only prune harder).
+          if (gate_.refresh(b, j) &&
+              gate_.block_bound(j, b, over) * margin > best_done) {
+            continue;
+          }
+          sweep(b);
+        }
       }
     }
   }
@@ -470,12 +479,12 @@ ChurnScheduleTotals ChurnScheduler::run_ect(std::span<const double> tasks,
   ChurnScheduleTotals totals;
   const std::size_t n = state_.size();
   if (n == 0) return totals;
-  std::vector<double> bounds;  // bound scratch, one entry per block
+  std::vector<double> bounds;  // group-bound scratch, one entry per group
   if constexpr (kBlocked) {
     state_.ensure_ect_caches();
     gate_.reset(state_, cursor_view(), tasks, policy);
     rebuild_sorted_cursors();
-    bounds.resize(state_.block_count());
+    bounds.resize(gate_.group_count());
   }
 
   for (const double task : tasks) {
@@ -610,7 +619,7 @@ void ChurnScheduler::begin_stepping(std::span<const double> tasks,
   } else {
     gate_.reset(state_, cursor_view(), step_tasks_, policy);
     rebuild_sorted_cursors();
-    step_bounds_.resize(state_.block_count());
+    step_bounds_.resize(gate_.group_count());
   }
 }
 

@@ -247,7 +247,7 @@ class ChurnScheduler {
 
   /// The per-task minimum-completion selection of run_ect, shared
   /// verbatim with step(): returns the winning host without committing.
-  /// `bounds` is the per-block bound scratch row (blocked arm only).
+  /// `bounds` is the group-bound scratch row (blocked arm only).
   template <bool kBlocked>
   std::uint32_t select_ect(double task, InterruptionPolicy policy,
                            ChurnScheduleTotals& totals,
@@ -328,7 +328,7 @@ class ChurnScheduler {
   bool step_blocked_ = false;
   std::vector<double> step_tasks_;     ///< retained for advance_time resets
   std::vector<double> step_slowdown_;  ///< per-host derate; empty = all 1
-  std::vector<double> step_bounds_;    ///< bound scratch for select_ect
+  std::vector<double> step_bounds_;    ///< group-bound scratch for select_ect
   ChurnScheduleTotals step_totals_;
 };
 

@@ -38,6 +38,7 @@
 
 #include "synth/availability.h"
 #include "util/rng.h"
+#include "util/uninit_vector.h"
 
 namespace resmodel::churn {
 
@@ -126,9 +127,11 @@ class IntervalTimeline {
       util::Rng& rng, synth::StartMode mode, int threads);
 
   std::vector<std::uint64_t> offsets_;  ///< host_count + 1 entries
-  std::vector<double> starts_;
-  std::vector<double> ends_;
-  std::vector<double> cum_ends_;
+  // Sized without a zero-fill: both builders write every slot, and
+  // generate() does so in parallel, first-touching the pages.
+  util::UninitVector<double> starts_;
+  util::UninitVector<double> ends_;
+  util::UninitVector<double> cum_ends_;
   double start_ = 0.0;
   double end_ = 0.0;
 };

@@ -298,7 +298,10 @@ BagOfTasksResult run_with_state(ScheduleState state,
       for (std::size_t h = 0; h < host_count; ++h) {
         share[h] = state.rates[h] / total_rate;
       }
-      std::vector<double> assigned_work(host_count, 0.0);
+      // Value-initialized, not built with the (count, 0.0) fill
+      // constructor: GCC 12 misreads that one's pointer as offset here
+      // and raises a -Wfree-nonheap-object false positive at its delete.
+      std::vector<double> assigned_work(host_count);
       double total_cpu_days = 0.0;
       double total_assigned = 0.0;
       for (const double task : tasks) {

@@ -5,7 +5,10 @@
 // kernel computes. With the gate's float32 columns this is the round-trip
 // property: f32 bound * margin <= f64 completion, for every host and
 // task, including dirty (not yet repaired) entries after a real run. The
-// grid's shape and the dirty-bit bookkeeping are pinned directly.
+// grid's shape, the dirty-bit bookkeeping and the group summary (each
+// group entry is the minimum of its members' stored entries, and the
+// warm search over it is the full row's first argmin) are pinned
+// directly.
 #include "churn/block_envelope.h"
 
 #include <gtest/gtest.h>
@@ -74,6 +77,54 @@ std::vector<double> exact_block_min(ChurnScheduler& sched,
   return block_min;
 }
 
+/// Asserts that every group entry of every position is the minimum of
+/// its members' STORED row entries (clean or dirty), and every group
+/// min-inv the minimum of its members' ect_block_min_inv: both then
+/// bound every member from below.
+void expect_group_summary_exact(const BoundGate& gate,
+                                const sim::ScheduleState& state) {
+  constexpr std::size_t kGroup = BoundGate::kGroup;
+  const std::size_t blocks = state.block_count();
+  ASSERT_EQ(gate.group_count(), (blocks + kGroup - 1) / kGroup);
+  const std::span<const double> ginv = gate.group_min_inv();
+  for (std::size_t g = 0; g < gate.group_count(); ++g) {
+    const std::size_t hi = std::min(blocks, (g + 1) * kGroup);
+    double min_inv = std::numeric_limits<double>::infinity();
+    for (std::size_t b = g * kGroup; b < hi; ++b) {
+      EXPECT_LE(ginv[g], state.ect_block_min_inv[b]) << "group " << g;
+      min_inv = std::min(min_inv, state.ect_block_min_inv[b]);
+    }
+    EXPECT_EQ(ginv[g], min_inv) << "group " << g;
+    for (std::size_t j = 0; j < gate.positions().size(); ++j) {
+      double min_entry = std::numeric_limits<double>::infinity();
+      for (std::size_t b = g * kGroup; b < hi; ++b) {
+        EXPECT_LE(gate.group_row(j)[g], gate.row(j)[b])
+            << "group " << g << " block " << b << " position " << j
+            << ((gate.dirty_mask(b) >> j) & 1 ? " (dirty)" : " (clean)");
+        min_entry = std::min(min_entry, gate.row(j)[b]);
+      }
+      EXPECT_EQ(gate.group_row(j)[g], min_entry)
+          << "group " << g << " position " << j;
+    }
+  }
+}
+
+/// Brute-force warm start: the first block attaining the minimum bound
+/// of the full row.
+std::size_t full_row_first_argmin(const BoundGate& gate, std::size_t blocks,
+                                  std::size_t j, double over) {
+  std::size_t best = 0;
+  double m = gate.block_bound(j, 0, over);
+  for (std::size_t b = 1; b < blocks; ++b) {
+    const double bound = gate.block_bound(j, b, over);
+    if (bound < m) {
+      m = bound;
+      best = b;
+    }
+  }
+  return best;
+}
+
 /// Asserts lane, grid-entry and envelope soundness against the exact
 /// completions of the CURRENT cursor state: every lane at every probe,
 /// every grid entry (clean or dirty) at its own position, and the
@@ -111,6 +162,7 @@ void expect_gate_sound(ChurnScheduler& sched, sim::ScheduleState& state,
           << "envelope unsound: block " << b << " task " << task;
     }
   }
+  expect_group_summary_exact(gate, state);
 }
 
 TEST(BoundGate, AllBoundsSoundOnFreshState) {
@@ -345,6 +397,117 @@ TEST(BoundGate, ReassignmentDirtiesExactlyItsArgminEntries) {
     }
   }
   EXPECT_EQ(gate.dirty_mask(blk), 0u);
+}
+
+// The warm search through the group summary against a brute-force scan
+// of the full row, before every task of a stepped run: a funnelled
+// multi-group population leaves entries dirty, refreshed and re-dirtied
+// under the search as the run goes, and the group bounds it writes must
+// never exceed a member's bound.
+TEST(BoundGate, WarmSearchIsTheFullRowFirstArgminThroughoutARun) {
+  const std::size_t n = 2500;  // 40 blocks: groups of 16, 16 and 8
+  std::vector<double> rates = random_rates(n, 71);
+  for (std::size_t h = 0; h < 8; ++h) rates[h] = 60000.0 + 100.0 * h;
+  const IntervalTimeline timeline = model_timeline(n, 72);
+  const std::vector<double> tasks = random_tasks(400, 73);
+  for (const InterruptionPolicy policy : kGatedPolicies) {
+    sim::ScheduleState state =
+        sim::ScheduleState::from_rates(std::vector<double>(rates));
+    ChurnScheduler sched(state, timeline, {});
+    sched.begin_stepping(tasks, policy);
+    const BoundGate& gate = sched.gate();
+    const std::size_t blocks = state.block_count();
+    ASSERT_EQ(gate.group_count(), 3u);
+    std::vector<double> gb(gate.group_count());
+    for (const double task : tasks) {
+      const std::size_t j = gate.position_of(task);
+      const double over = task - gate.positions()[j];
+      ASSERT_EQ(gate.first_argmin_block(j, over, gb.data()),
+                full_row_first_argmin(gate, blocks, j, over))
+          << "task " << task;
+      for (std::size_t b = 0; b < blocks; ++b) {
+        ASSERT_LE(gb[b / BoundGate::kGroup], gate.block_bound(j, b, over))
+            << "block " << b << " task " << task;
+      }
+      sched.step(task);
+    }
+    expect_group_summary_exact(gate, state);
+  }
+}
+
+/// A gate over inv.size() full blocks whose hosts are ordered by block:
+/// block b's 64 hosts all run at inv[b] (non-decreasing) and are ready
+/// at ready[b], with sessions long enough that the position-0 entry of
+/// block b is exactly ready[b] (a task of size 0 fits at once).
+struct SyntheticGate {
+  sim::ScheduleState state;
+  std::vector<double> ready, sess_rem, next_start, accr, levels;
+  BoundGate gate{backend::SimdLevel::kNone};
+
+  SyntheticGate(const std::vector<double>& inv,
+                const std::vector<double>& block_ready) {
+    constexpr std::size_t kBlock = BoundGate::kBlock;
+    std::vector<double> rates;
+    for (std::size_t b = 0; b < inv.size(); ++b) {
+      for (std::size_t i = 0; i < kBlock; ++i) {
+        rates.push_back(1.0 / inv[b]);
+        ready.push_back(block_ready[b]);
+      }
+    }
+    const std::size_t n = rates.size();
+    state = sim::ScheduleState::from_rates(std::move(rates));
+    state.ensure_ect_caches();
+    sess_rem.assign(n, 1000.0);
+    next_start.assign(n, 2000.0);
+    accr.assign(n, 0.0);
+    levels.assign(n * 2, 0.0);
+    for (std::size_t h = 0; h < n; ++h) {
+      levels[h * 2] = 2000.0;      // cum_1
+      levels[h * 2 + 1] = 2000.0;  // phi_1
+    }
+    gate.reset(state, {ready, sess_rem, next_start, accr, levels, 1},
+               std::vector<double>{1.0}, InterruptionPolicy::kCheckpoint);
+  }
+};
+
+// Hand-built rows where the tightest group is NOT where the answer lies:
+// a group bound pairs the minimum entry of one member with the minimum
+// inv of another, so it can sit far below every member's own bound.
+// Three groups of 16 blocks; at over = 1 block b's bound is ready[b] +
+// inv[b]. Blocks 0..16 have inv 1, blocks 17..47 inv 4, so group 1's
+// bound takes its inv from block 16 and its entry from block 31.
+TEST(BoundGate, WarmSearchExpandsEveryGroupNotAboveTheIncumbent) {
+  std::vector<double> inv(48, 4.0);
+  std::fill(inv.begin(), inv.begin() + 17, 1.0);
+  const double over = 1.0;
+  {
+    // The minimum lies outside the tightest group: group 1 bounds at
+    // 10 + 1 = 11 but its best member (block 31) at 10 + 4 = 14; group
+    // 2 bounds at 8 + 4 = 12 and so does its block 32, the answer.
+    std::vector<double> ready(48, 100.0);
+    ready[31] = 10.0;
+    ready[32] = 8.0;
+    SyntheticGate sg(inv, ready);
+    ASSERT_EQ(sg.gate.row(0)[31], 10.0);
+    std::vector<double> gb(sg.gate.group_count());
+    EXPECT_EQ(sg.gate.first_argmin_block(0, over, gb.data()), 32u);
+    EXPECT_EQ(gb, (std::vector<double>{101.0, 11.0, 12.0}));
+    EXPECT_EQ(full_row_first_argmin(sg.gate, 48, 0, over), 32u);
+  }
+  {
+    // Two groups tie on the minimum: block 31 of the tightest group and
+    // block 3 of group 0 both bound at 14, and group 0's bound is 14
+    // too — equal to the incumbent, so only a <= expansion finds the
+    // lower index.
+    std::vector<double> ready(48, 100.0);
+    ready[31] = 10.0;
+    ready[3] = 13.0;
+    SyntheticGate sg(inv, ready);
+    std::vector<double> gb(sg.gate.group_count());
+    EXPECT_EQ(sg.gate.first_argmin_block(0, over, gb.data()), 3u);
+    EXPECT_EQ(gb, (std::vector<double>{14.0, 11.0, 104.0}));
+    EXPECT_EQ(full_row_first_argmin(sg.gate, 48, 0, over), 3u);
+  }
 }
 
 TEST(ChurnSchedulerConfigValidation, RejectsOutOfRangeLevels) {
