@@ -8,14 +8,16 @@
 //                       and (when the minimum can still matter) return
 //                       the smallest ORIGINAL host index attaining it.
 //   column_min        — plain min over a contiguous double column (the
-//                       per-block free_at / ready_at refresh).
+//                       per-block key refresh of sim::EctSelector and
+//                       the churn gate's group summary).
 //   row_bounds_argmin — bounds[i] = row[i] + over * bmin_inv[i] for
 //                       every entry, returning the FIRST index
-//                       attaining the minimum: the churn gate's
-//                       warm-start search runs it once over the group
-//                       row of its grid summary and once per expanded
-//                       16-block group (the ECT sweep's warm start runs
-//                       it over its block row).
+//                       attaining the minimum. sim::EctSelector's warm
+//                       start runs it over its block row for all three
+//                       of its users (batch ECT, replicated ECT, churn
+//                       kAbandon); the churn gate's warm-start search
+//                       runs it once over the group row of its grid
+//                       summary and once per expanded 16-block group.
 //   gate_sweep        — churn::BoundGate's per-block sweep over one
 //                       padded 64-lane block of float32 columns
 //                       (checkpoint level routing or the restart

@@ -249,54 +249,6 @@ double ChurnScheduler::completion_for(
   return restart_completion(timeline_, host, ready_[host], work).completion;
 }
 
-void ChurnScheduler::commit(std::size_t host, double work,
-                            InterruptionPolicy policy,
-                            ChurnScheduleTotals& totals) {
-  double completion;
-  double worked = work;
-  if (policy == InterruptionPolicy::kCheckpoint) {
-    completion = completion_for(host, work, InterruptionPolicy::kCheckpoint);
-  } else {
-    const RestartOutcome out =
-        restart_completion(timeline_, host, ready_[host], work);
-    completion = out.completion;
-    worked = out.worked_days;
-    totals.interruptions += out.interruptions;
-  }
-  state_.busy_days[host] += worked;
-  state_.free_at[host] = completion;
-  totals.total_cpu_days += work;
-  totals.wasted_cpu_days += worked - work;
-  totals.makespan_days = std::max(totals.makespan_days, completion);
-  update_cursor(host);
-}
-
-void ChurnScheduler::rebuild_ready_gathers() {
-  state_.ensure_ect_caches();
-  constexpr std::size_t kBlock = sim::ScheduleState::kBlockSize;
-  const std::size_t n = state_.size();
-  const std::size_t blocks = state_.block_count();
-  sready_.resize(n);
-  for (std::size_t j = 0; j < n; ++j) sready_[j] = ready_[state_.ect_order[j]];
-  bmin_ready_.resize(blocks);
-  for (std::size_t b = 0; b < blocks; ++b) {
-    const std::size_t lo = b * kBlock;
-    const std::size_t hi = std::min(n, lo + kBlock);
-    bmin_ready_[b] = ops_->column_min(sready_.data() + lo, hi - lo);
-  }
-}
-
-void ChurnScheduler::update_ready_gather(std::size_t host) {
-  constexpr std::size_t kBlock = sim::ScheduleState::kBlockSize;
-  const std::size_t n = state_.size();
-  const std::size_t pos = state_.ect_pos[host];
-  sready_[pos] = ready_[host];
-  const std::size_t blk = pos / kBlock;
-  const std::size_t lo = blk * kBlock;
-  const std::size_t hi = std::min(n, lo + kBlock);
-  bmin_ready_[blk] = ops_->column_min(sready_.data() + lo, hi - lo);
-}
-
 void ChurnScheduler::rebuild_sorted_cursors() {
   const std::size_t n = state_.size();
   const std::size_t stride = 2 * config_.lookahead_levels;
@@ -333,10 +285,10 @@ void ChurnScheduler::prime_gate_for_test(std::span<const double> tasks,
 }
 
 template <bool kBlocked>
-std::uint32_t ChurnScheduler::select_ect(double task,
-                                         InterruptionPolicy policy,
-                                         ChurnScheduleTotals& totals,
-                                         std::vector<double>& bounds) {
+std::uint32_t ChurnScheduler::select_ect(double task) {
+  const InterruptionPolicy policy = step_policy_;
+  ChurnScheduleTotals& totals = step_totals_;
+  std::vector<double>& bounds = step_bounds_;
   const std::size_t n = state_.size();
   std::uint32_t best = 0;
   double best_done = std::numeric_limits<double>::infinity();
@@ -473,130 +425,33 @@ std::uint32_t ChurnScheduler::select_ect(double task,
   return best;
 }
 
-template <bool kBlocked>
-ChurnScheduleTotals ChurnScheduler::run_ect(std::span<const double> tasks,
-                                            InterruptionPolicy policy) {
-  ChurnScheduleTotals totals;
-  const std::size_t n = state_.size();
-  if (n == 0) return totals;
-  std::vector<double> bounds;  // group-bound scratch, one entry per group
-  if constexpr (kBlocked) {
-    state_.ensure_ect_caches();
-    gate_.reset(state_, cursor_view(), tasks, policy);
-    rebuild_sorted_cursors();
-    bounds.resize(gate_.group_count());
-  }
-
-  for (const double task : tasks) {
-    const std::uint32_t best = select_ect<kBlocked>(task, policy, totals,
-                                                    bounds);
-    commit(best, task * state_.inv_rates[best], policy, totals);
-    if constexpr (kBlocked) {
-      update_sorted_cursor(best);
-      gate_.on_assign(best, state_, cursor_view());
-    }
-  }
-  return totals;
-}
-
-template <bool kBlocked>
-std::uint32_t ChurnScheduler::select_ready(double task) const {
-  const std::size_t n = state_.size();
-  constexpr std::size_t kBlock = sim::ScheduleState::kBlockSize;
-  // Selection key = ready + task*inv, the exact optimistic completion
-  // of a single attempt — no interval walk needed until the attempt is
-  // resolved.
-  std::uint32_t best = 0;
-  double best_done = std::numeric_limits<double>::infinity();
-  {
-    if constexpr (!kBlocked) {
-      for (std::size_t h = 0; h < n; ++h) {
-        const double done = ready_[h] + task * state_.inv_rates[h];
-        if (done < best_done) {
-          best_done = done;
-          best = static_cast<std::uint32_t>(h);
-        }
-      }
-    } else {
-      const double* inv = state_.ect_sorted_inv.data();
-      const double* bmin_inv = state_.ect_block_min_inv.data();
-      const std::uint32_t* order = state_.ect_order.data();
-      const std::size_t blocks = state_.block_count();
-      // The block bound is monotone-sound without a margin: sready_i >=
-      // bmin_ready_b and fl(task*inv_i) >= fl(task*bmin_inv_b), and fl(+)
-      // is monotone, so the bound never exceeds any lane's key bitwise.
-      for (std::size_t b = 0; b < blocks; ++b) {
-        if (bmin_ready_[b] + task * bmin_inv[b] > best_done) continue;
-        const std::size_t lo = b * kBlock;
-        const std::size_t len = std::min(n - lo, kBlock);
-        const backend::EctBlockMin r = ops_->ect_block_sweep(
-            sready_.data() + lo, inv + lo, order + lo, len, task,
-            best_done);
-        if (r.value > best_done) continue;
-        if (r.value < best_done) {
-          best_done = r.value;
-          best = r.index;
-        } else {
-          best = std::min(best, r.index);
-        }
-      }
-    }
-  }
-  return best;
-}
-
-template <bool kBlocked>
-ChurnScheduleTotals ChurnScheduler::run_abandon(
-    std::span<const double> tasks) {
-  ChurnScheduleTotals totals;
-  const std::size_t n = state_.size();
-  if (n == 0) return totals;
-  if constexpr (kBlocked) rebuild_ready_gathers();
-
-  // FIFO of task costs: interrupted tasks re-enter at the back, so every
-  // queued task is attempted before any retry. Terminates because each
-  // failed attempt burns one ON session of one host; past its last
-  // generated session a host is permanently ON and every attempt succeeds.
-  std::deque<double> queue(tasks.begin(), tasks.end());
-  while (!queue.empty()) {
-    const double task = queue.front();
-    queue.pop_front();
-
-    const std::uint32_t best = select_ready<kBlocked>(task);
-    const double work = task * state_.inv_rates[best];
-    const AttemptOutcome attempt =
-        abandon_attempt(timeline_, best, ready_[best], work);
-    state_.busy_days[best] += attempt.burned;
-    state_.free_at[best] = attempt.at;
-    if (attempt.completed) {
-      totals.total_cpu_days += work;
-      totals.makespan_days = std::max(totals.makespan_days, attempt.at);
-    } else {
-      totals.wasted_cpu_days += attempt.burned;
-      ++totals.interruptions;
-      queue.push_back(task);
-    }
-    update_cursor(best);
-    if constexpr (kBlocked) update_ready_gather(best);
-  }
-  return totals;
-}
-
 ChurnScheduleTotals ChurnScheduler::run(std::span<const double> tasks,
                                         InterruptionPolicy policy) {
-  // The scalar arm IS the reference oracle (its counters are zero: the
-  // full scan streams no gate columns).
-  if (resolved_.arm == backend::Backend::kScalar) {
-    return run_reference(tasks, policy);
-  }
-  if (policy == InterruptionPolicy::kAbandon) return run_abandon<true>(tasks);
-  return run_ect<true>(tasks, policy);
+  return run_stepped(tasks, policy, /*force_reference=*/false);
 }
 
 ChurnScheduleTotals ChurnScheduler::run_reference(
     std::span<const double> tasks, InterruptionPolicy policy) {
-  if (policy == InterruptionPolicy::kAbandon) return run_abandon<false>(tasks);
-  return run_ect<false>(tasks, policy);
+  return run_stepped(tasks, policy, /*force_reference=*/true);
+}
+
+ChurnScheduleTotals ChurnScheduler::run_stepped(std::span<const double> tasks,
+                                                InterruptionPolicy policy,
+                                                bool force_reference) {
+  if (state_.size() == 0) return {};  // step() would index host 0
+  begin_stepping(tasks, policy, {}, force_reference);
+  // FIFO of task costs: kAbandon's interrupted tasks re-enter at the
+  // back, so every queued task is attempted before any retry. Terminates
+  // because each failed attempt burns one ON session of one host; past
+  // its last generated session a host is permanently ON and every attempt
+  // succeeds.
+  std::deque<double> queue(tasks.begin(), tasks.end());
+  while (!queue.empty()) {
+    const double task = queue.front();
+    queue.pop_front();
+    if (!step(task).completed) queue.push_back(task);
+  }
+  return step_totals_;
 }
 
 void ChurnScheduler::begin_stepping(std::span<const double> tasks,
@@ -607,15 +462,15 @@ void ChurnScheduler::begin_stepping(std::span<const double> tasks,
   step_totals_ = {};
   step_tasks_.assign(tasks.begin(), tasks.end());
   step_slowdown_.assign(slowdown.begin(), slowdown.end());
-  // Same routing rule as run() / run_reference(): the scalar arm (or an
-  // explicit reference request) steps through the full-scan oracle
-  // selection, every other arm through the blocked one.
+  // The scalar arm (or an explicit reference request) steps through the
+  // full-scan oracle selection, every other arm through the blocked one.
   step_blocked_ =
       !force_reference && resolved_.arm != backend::Backend::kScalar;
   if (!step_blocked_) return;
   state_.ensure_ect_caches();
   if (policy == InterruptionPolicy::kAbandon) {
-    rebuild_ready_gathers();
+    ready_select_.emplace(state_, *ops_);
+    ready_select_->load(ready_);
   } else {
     gate_.reset(state_, cursor_view(), step_tasks_, policy);
     rebuild_sorted_cursors();
@@ -626,8 +481,12 @@ void ChurnScheduler::begin_stepping(std::span<const double> tasks,
 ChurnScheduler::StepOutcome ChurnScheduler::step(double task) {
   StepOutcome out;
   if (step_policy_ == InterruptionPolicy::kAbandon) {
-    const std::uint32_t best = step_blocked_ ? select_ready<true>(task)
-                                             : select_ready<false>(task);
+    // Selection key = ready + task*inv, the exact optimistic completion
+    // of a single attempt — no interval walk until the attempt resolves.
+    const std::uint32_t best =
+        step_blocked_
+            ? ready_select_->select(task).host
+            : sim::ect_select_reference(ready_, state_.inv_rates, task).host;
     const double slowdown =
         step_slowdown_.empty() ? 1.0 : step_slowdown_[best];
     const double work = task * state_.inv_rates[best] * slowdown;
@@ -650,7 +509,7 @@ ChurnScheduler::StepOutcome ChurnScheduler::step(double task) {
       ++step_totals_.interruptions;
     }
     update_cursor(best);
-    if (step_blocked_) update_ready_gather(best);
+    if (step_blocked_) ready_select_->set(best, ready_[best]);
     return out;
   }
 
@@ -660,9 +519,7 @@ ChurnScheduler::StepOutcome ChurnScheduler::step(double task) {
   // untouched by the commit-side inflation; on_assign re-keys the
   // winner from its post-commit cursor as usual.
   const std::uint32_t best =
-      step_blocked_
-          ? select_ect<true>(task, step_policy_, step_totals_, step_bounds_)
-          : select_ect<false>(task, step_policy_, step_totals_, step_bounds_);
+      step_blocked_ ? select_ect<true>(task) : select_ect<false>(task);
   const double slowdown = step_slowdown_.empty() ? 1.0 : step_slowdown_[best];
   const double work = task * state_.inv_rates[best] * slowdown;
   out.host = best;
@@ -672,11 +529,25 @@ ChurnScheduler::StepOutcome ChurnScheduler::step(double task) {
   // work overflows it — exactly the checkpoint-spill / restart-burn
   // trigger, and the crash model's loss condition.
   out.session_crossed = work > sess_rem_[best];
+  double worked = work;
+  if (step_policy_ == InterruptionPolicy::kCheckpoint) {
+    out.completion = completion_for(best, work, step_policy_);
+  } else {
+    const RestartOutcome r =
+        restart_completion(timeline_, best, ready_[best], work);
+    out.completion = r.completion;
+    worked = r.worked_days;
+    step_totals_.interruptions += r.interruptions;
+  }
   const double busy_before = state_.busy_days[best];
-  commit(best, work, step_policy_, step_totals_);
-  out.completion = state_.free_at[best];
+  state_.busy_days[best] += worked;
+  state_.free_at[best] = out.completion;
   out.worked_days = state_.busy_days[best] - busy_before;
-  out.completed = true;
+  step_totals_.total_cpu_days += work;
+  step_totals_.wasted_cpu_days += worked - work;
+  step_totals_.makespan_days =
+      std::max(step_totals_.makespan_days, out.completion);
+  update_cursor(best);
   if (step_blocked_) {
     update_sorted_cursor(best);
     gate_.on_assign(best, state_, cursor_view());
@@ -694,7 +565,7 @@ void ChurnScheduler::advance_time(double now) {
   }
   if (!step_blocked_) return;
   if (step_policy_ == InterruptionPolicy::kAbandon) {
-    rebuild_ready_gathers();
+    ready_select_->load(ready_);
   } else {
     gate_.reset(state_, cursor_view(), step_tasks_, step_policy_);
     rebuild_sorted_cursors();

@@ -22,8 +22,10 @@
 //    interruption instant.
 //
 // Selection is minimum-completion-time over the rate-sorted blocks of
-// sim::ScheduleState. The derate kernel's plain `ready + task*inv` bound
-// is hopeless here (the winner's completion carries OFF-gap stretch, so
+// sim::ScheduleState. kAbandon selects on the optimistic single-attempt
+// key `ready + task*inv`, so it runs the derate kernel's sim::EctSelector
+// keyed on the ready-at column. For checkpoint and restart that plain
+// bound is hopeless (the winner's completion carries OFF-gap stretch, so
 // in the leveled steady state that bound admits the whole mid-band), and
 // any per-block scalar over 64 heavy-tailed gaps washes out to the
 // gap-free bound. What prunes (full derivation in churn/README.md):
@@ -58,6 +60,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <string>
 
@@ -132,8 +135,9 @@ RestartOutcome restart_completion(const IntervalTimeline& timeline,
 /// Interval-aware ECT over a sim::ScheduleState and an IntervalTimeline.
 /// Borrows the state's columns (rates/inv_rates/free_at/busy_days and the
 /// rate-sorted ect_* caches) and maintains its own ready-at cursor column
-/// (earliest ON instant >= free_at). run() and run_reference() update the
-/// state in place, exactly like the sim/ scheduling kernels.
+/// (earliest ON instant >= free_at). run() and run_reference() are
+/// begin_stepping() plus step() per task, and update the state in place,
+/// exactly like the sim/ scheduling kernels.
 class ChurnScheduler {
  public:
   /// `state` and `timeline` must describe the same hosts (equal counts —
@@ -150,7 +154,8 @@ class ChurnScheduler {
   /// to share one cursor derivation across all cells of a population.
   ChurnScheduler(sim::ScheduleState& state, const ChurnScheduler& seed);
 
-  /// Blocked, pruned fast path.
+  /// Blocked, pruned fast path (kAbandon re-queues interrupted attempts
+  /// at the back). Ends any stepping session in progress.
   ChurnScheduleTotals run(std::span<const double> tasks,
                           InterruptionPolicy policy);
 
@@ -158,13 +163,13 @@ class ChurnScheduler {
   ChurnScheduleTotals run_reference(std::span<const double> tasks,
                                     InterruptionPolicy policy);
 
-  /// One stepped assignment (the begin_stepping/step driving mode used by
-  /// sim/replication.cpp): which host won the selection, when its work
-  /// began accruing, when the host freed, how much ON time it burned, and
-  /// the two facts the fault layer needs — whether the attempt completed
-  /// (false only under kAbandon when the session died first) and whether
-  /// the execution crossed at least one ON-session boundary (the crash
-  /// model's trigger).
+  /// One stepped assignment (the begin_stepping/step driving mode behind
+  /// run() and sim/replication.cpp): which host won the selection, when
+  /// its work began accruing, when the host freed, how much ON time it
+  /// burned, and the two facts the fault layer needs — whether the
+  /// attempt completed (false only under kAbandon when the session died
+  /// first) and whether the execution crossed at least one ON-session
+  /// boundary (the crash model's trigger).
   struct StepOutcome {
     std::uint32_t host = 0;
     double start = 0.0;
@@ -175,10 +180,10 @@ class ChurnScheduler {
   };
 
   /// Arms the stepped driving mode: step() hands out one assignment at a
-  /// time with exactly the selection run()/run_reference() would make
-  /// (blocked when the resolved backend is non-scalar and
-  /// `force_reference` is off, the full-scan oracle otherwise — same
-  /// bit-identity contract). `tasks` is the task population the gate's
+  /// time (blocked when the resolved backend is non-scalar and
+  /// `force_reference` is off, the full-scan oracle otherwise — the two
+  /// are bit-identical); run() and run_reference() are this mode driven
+  /// over every task. `tasks` is the task population the gate's
   /// grid positions are drawn from (it is retained for gate re-resets on
   /// advance_time); individual step() calls may pass any task drawn from
   /// it, in any order and multiplicity. `slowdown`, when non-empty, is a
@@ -241,27 +246,15 @@ class ChurnScheduler {
   /// spill resolution).
   double checkpoint_spill(std::size_t host, double target) const noexcept;
 
-  /// Applies an assignment: busy/free/ready/cursor updates + totals.
-  void commit(std::size_t host, double work, InterruptionPolicy policy,
-              ChurnScheduleTotals& totals);
+  /// The driving loop behind run() and run_reference().
+  ChurnScheduleTotals run_stepped(std::span<const double> tasks,
+                                  InterruptionPolicy policy,
+                                  bool force_reference);
 
-  /// The per-task minimum-completion selection of run_ect, shared
-  /// verbatim with step(): returns the winning host without committing.
-  /// `bounds` is the group-bound scratch row (blocked arm only).
+  /// Checkpoint / restart's per-task minimum-completion selection under
+  /// step_policy_: the winning host, not yet committed.
   template <bool kBlocked>
-  std::uint32_t select_ect(double task, InterruptionPolicy policy,
-                           ChurnScheduleTotals& totals,
-                           std::vector<double>& bounds);
-  /// kAbandon's per-task selection (key = ready + task*inv), shared
-  /// verbatim between run_abandon and step().
-  template <bool kBlocked>
-  std::uint32_t select_ready(double task) const;
-
-  template <bool kBlocked>
-  ChurnScheduleTotals run_ect(std::span<const double> tasks,
-                              InterruptionPolicy policy);
-  template <bool kBlocked>
-  ChurnScheduleTotals run_abandon(std::span<const double> tasks);
+  std::uint32_t select_ect(double task);
 
   /// Re-derives ready_/sess_rem_/next_start_ for `host` from its
   /// free_at (one binary search; the session neighbours are adjacent
@@ -273,10 +266,6 @@ class ChurnScheduler {
     return {ready_, sess_rem_, next_start_, accr_ready_, levels_,
             config_.lookahead_levels};
   }
-
-  /// (Re)builds kAbandon's sorted ready gather + per-block minima.
-  void rebuild_ready_gathers();
-  void update_ready_gather(std::size_t host);
 
   /// (Re)builds / maintains the ECT paths' sorted-layout RESOLUTION
   /// columns: exact double copies of the cursor columns in ect_order
@@ -308,14 +297,13 @@ class ChurnScheduler {
   std::vector<std::uint32_t> sess_idx_;
   std::vector<double> levels_;
 
-  /// The pruning gate (packed columns + task-size grid), rebuilt per
-  /// run_ect run; see block_envelope.h.
+  /// The pruning gate (packed columns + task-size grid), reset by
+  /// begin_stepping and advance_time; see block_envelope.h.
   BoundGate gate_;
 
-  // kAbandon's blocked path only needs the ready column in sorted layout
-  // (its selection key is the optimistic ready + work even for spills).
-  std::vector<double> sready_;
-  std::vector<double> bmin_ready_;
+  /// kAbandon's blocked selection: its key is the optimistic ready +
+  /// work even for spills, so the ready column is all it needs.
+  std::optional<sim::EctSelector> ready_select_;
 
   // ECT survivor-resolution columns (see rebuild_sorted_cursors).
   std::vector<double> sres_ready_;

@@ -99,8 +99,13 @@ struct BagOfTasksConfig {
   /// validate deadlines against, and throw. Fault profiles are sampled
   /// from one rng fork per host AFTER the task costs (and only when the
   /// mix is non-trivial), so a replication-only run schedules the
-  /// identical workload a plain run does. CLI: `sweep --replication=k/n
-  /// --deadline-days=D --fault-mix=crash:p,straggler:p,corrupt:p`.
+  /// identical workload a plain run does — for the churn policies, and
+  /// for kDynamicEct with model_availability. kDynamicEct without it is
+  /// the exception: its replicated run draws the availability
+  /// realization (for the crash model) before the task costs, and the
+  /// plain run draws none, so their task costs differ. CLI: `sweep
+  /// --replication=k/n --deadline-days=D
+  /// --fault-mix=crash:p,straggler:p,corrupt:p`.
   ReplicationConfig replication;
   FaultMixConfig fault_mix;
 

@@ -64,111 +64,123 @@ void ScheduleState::ensure_ect_caches() {
   }
 }
 
+EctSelector::EctSelector(ScheduleState& state, const backend::KernelOps& ops)
+    : state_(state), ops_(ops) {
+  state.ensure_ect_caches();
+  skey_.resize(state.size());
+  bmin_.resize(state.block_count());
+  bounds_.resize(state.block_count());
+}
+
+void EctSelector::load(std::span<const double> key) {
+  const std::uint32_t* order = state_.ect_order.data();
+  for (std::size_t j = 0; j < skey_.size(); ++j) skey_[j] = key[order[j]];
+  constexpr std::size_t kBlock = ScheduleState::kBlockSize;
+  for (std::size_t b = 0; b < bmin_.size(); ++b) {
+    const std::size_t lo = b * kBlock;
+    bmin_[b] = ops_.column_min(skey_.data() + lo,
+                               std::min(skey_.size() - lo, kBlock));
+  }
+}
+
+void EctSelector::set(std::size_t host, double key) {
+  constexpr std::size_t kBlock = ScheduleState::kBlockSize;
+  const std::size_t pos = state_.ect_pos[host];
+  skey_[pos] = key;
+  const std::size_t lo = pos / kBlock * kBlock;
+  bmin_[pos / kBlock] = ops_.column_min(skey_.data() + lo,
+                                        std::min(skey_.size() - lo, kBlock));
+}
+
+EctPick EctSelector::select(double task) {
+  constexpr std::size_t kBlock = ScheduleState::kBlockSize;
+  const std::size_t n = skey_.size();
+  const std::size_t blocks = bmin_.size();
+  const double* key = skey_.data();
+  const double* inv = state_.ect_sorted_inv.data();
+  const std::uint32_t* order = state_.ect_order.data();
+  const double* bounds = bounds_.data();
+  EctPick best{0, std::numeric_limits<double>::infinity()};
+  const auto sweep = [&](std::size_t b) {
+    const std::size_t lo = b * kBlock;
+    const backend::EctBlockMin r =
+        ops_.ect_block_sweep(key + lo, inv + lo, order + lo,
+                             std::min(n - lo, kBlock), task, best.done);
+    if (r.value > best.done) return;
+    if (r.value < best.done) {
+      best = {r.index, r.value};
+    } else {
+      best.host = std::min(best.host, r.index);
+    }
+  };
+  // The warm block goes first; the rest follow in index order, gated on
+  // the bounds row with strict `>` so a block that could tie is swept.
+  // Processing order is result-neutral: pruning only skips hosts that
+  // cannot win or tie.
+  const std::uint32_t warm =
+      ops_.row_bounds_argmin(bmin_.data(), state_.ect_block_min_inv.data(),
+                             task, blocks, bounds_.data());
+  sweep(warm);
+  for (std::size_t b = 0; b < blocks; ++b) {
+    if (b != warm && !(bounds[b] > best.done)) sweep(b);
+  }
+  return best;
+}
+
+EctPick ect_select_reference(std::span<const double> key,
+                             std::span<const double> inv_rates, double task) {
+  EctPick best{0, std::numeric_limits<double>::infinity()};
+  for (std::size_t h = 0; h < key.size(); ++h) {
+    const double done = key[h] + task * inv_rates[h];
+    if (done < best.done) best = {static_cast<std::uint32_t>(h), done};
+  }
+  return best;
+}
+
+namespace {
+
+/// Commits one ECT pick: the task runs on the winner from its free_at.
+void commit_ect(ScheduleState& state, double task, EctPick pick,
+                DynamicScheduleTotals& totals) {
+  const double days = task * state.inv_rates[pick.host];
+  state.busy_days[pick.host] += days;
+  state.free_at[pick.host] = pick.done;
+  totals.total_cpu_days += days;
+  totals.makespan_days = std::max(totals.makespan_days, pick.done);
+}
+
+}  // namespace
+
 DynamicScheduleTotals ect_schedule_blocked(ScheduleState& state,
                                            std::span<const double> tasks) {
   // Backend dispatch (src/backend/README.md): kScalar routes onto the
-  // reference oracle; the other arms share this driver and differ only
-  // in the kernel-ops table the sweeps go through. Every arm returns
-  // the same schedule bit for bit.
+  // reference oracle; the other arms differ only in the kernel-ops table
+  // the selector's sweeps go through. Every arm returns the same
+  // schedule bit for bit.
   const backend::ResolvedBackend rb = backend::resolve(state.backend);
   if (rb.arm == backend::Backend::kScalar) {
     return ect_schedule_reference(state, tasks);
   }
-  const backend::KernelOps& ops = backend::kernel_ops(rb.simd);
-
-  constexpr std::size_t kBlock = ScheduleState::kBlockSize;
-  state.ensure_ect_caches();
-  const std::size_t n = state.size();
-  const std::size_t blocks = state.block_count();
-  const double* inv = state.ect_sorted_inv.data();
-  const double* bmin_inv = state.ect_block_min_inv.data();
-  const std::uint32_t* order = state.ect_order.data();
   DynamicScheduleTotals totals;
-  if (n == 0) return totals;
-
-  // free_at gathered into sorted order once per run (kernel-local so a
-  // pre-advanced state works too), plus the per-block running minimum the
-  // pruning bound reads. Only the assigned host's block is refreshed per
-  // task.
-  std::vector<double> sfree(n);
-  for (std::size_t j = 0; j < n; ++j) sfree[j] = state.free_at[order[j]];
-  std::vector<double> bmin_free(blocks);
-  for (std::size_t b = 0; b < blocks; ++b) {
-    const std::size_t lo = b * kBlock;
-    const std::size_t hi = std::min(n, lo + kBlock);
-    bmin_free[b] = ops.column_min(sfree.data() + lo, hi - lo);
-  }
-
-  std::vector<double> bounds(blocks);  // per-task gate scratch
+  if (state.size() == 0) return totals;
+  EctSelector selector(state, backend::kernel_ops(rb.simd));
+  selector.load(state.free_at);
   for (const double task : tasks) {
-    std::uint32_t best = 0;  // original host index of the incumbent
-    double best_done = std::numeric_limits<double>::infinity();
-    // Per-block lower bound on every completion time inside it: no host
-    // is freer than the block's min free_at nor faster than its min
-    // inv_rate, and monotone rounding keeps the combination a true
-    // floating-point lower bound. Computed for the whole row up front
-    // (one vectorizable pass) and compared with strict >, so a block
-    // that could still *tie* the incumbent is scanned and the smallest
-    // original host index among the tied winners is kept — the scalar
-    // loop's pick. The row minimum's block is swept first (warm start):
-    // the incumbent is near-optimal before any other block is gated,
-    // and processing order is result-neutral because pruning only skips
-    // hosts that cannot win or tie.
-    const std::uint32_t warm =
-        ops.row_bounds_argmin(bmin_free.data(), bmin_inv, task, blocks,
-                              bounds.data());
-    for (std::size_t bi = 0; bi <= blocks; ++bi) {
-      const std::size_t b = bi == 0 ? warm : bi - 1;
-      if (bi != 0 && (b == warm || bounds[b] > best_done)) continue;
-      const std::size_t lo = b * kBlock;
-      const std::size_t len = std::min(n - lo, kBlock);
-      const backend::EctBlockMin r = ops.ect_block_sweep(
-          sfree.data() + lo, inv + lo, order + lo, len, task, best_done);
-      if (r.value > best_done) continue;
-      if (r.value < best_done) {
-        best_done = r.value;
-        best = r.index;
-      } else {
-        best = std::min(best, r.index);
-      }
-    }
-    const double days = task * state.inv_rates[best];
-    state.busy_days[best] += days;
-    state.free_at[best] = best_done;
-    totals.total_cpu_days += days;
-    totals.makespan_days = std::max(totals.makespan_days, best_done);
-    const std::size_t pos = state.ect_pos[best];
-    sfree[pos] = best_done;
-    const std::size_t blk = pos / kBlock;
-    const std::size_t lo = blk * kBlock;
-    const std::size_t hi = std::min(n, lo + kBlock);
-    bmin_free[blk] = ops.column_min(sfree.data() + lo, hi - lo);
+    const EctPick pick = selector.select(task);
+    commit_ect(state, task, pick, totals);
+    selector.set(pick.host, pick.done);
   }
   return totals;
 }
 
 DynamicScheduleTotals ect_schedule_reference(ScheduleState& state,
                                              std::span<const double> tasks) {
-  const std::size_t n = state.size();
-  const double* free_at = state.free_at.data();
-  const double* inv = state.inv_rates.data();
   DynamicScheduleTotals totals;
-  if (n == 0) return totals;
+  if (state.size() == 0) return totals;
   for (const double task : tasks) {
-    std::size_t best = 0;
-    double best_done = std::numeric_limits<double>::infinity();
-    for (std::size_t h = 0; h < n; ++h) {
-      const double done = free_at[h] + task * inv[h];
-      if (done < best_done) {
-        best_done = done;
-        best = h;
-      }
-    }
-    const double days = task * inv[best];
-    state.busy_days[best] += days;
-    state.free_at[best] = best_done;
-    totals.total_cpu_days += days;
-    totals.makespan_days = std::max(totals.makespan_days, best_done);
+    commit_ect(state, task,
+               ect_select_reference(state.free_at, state.inv_rates, task),
+               totals);
   }
   return totals;
 }

@@ -8,13 +8,13 @@
 // policy hot loops are cache-friendly streaming sweeps instead of pointer
 // chases:
 //
-//  - ect_schedule_blocked: the kDynamicEct (minimum-completion-time) scan
-//    as a blocked min-reduction over free_at[h] + task * inv_rates[h] —
-//    multiply instead of divide, block-local buffers the autovectorizer
-//    likes, and a per-block lower bound that skips whole blocks that
-//    cannot beat the current best completion time.
-//  - ect_schedule_reference: the retained scalar loop, bit-identical to
-//    the blocked kernel (the golden oracle for tests/sim/).
+//  - EctSelector: the one blocked `key[h] + task * inv_rates[h]` argmin
+//    (kDynamicEct batch and replicated over free_at, churn's kAbandon
+//    over ready-at) — multiply instead of divide, and a per-block lower
+//    bound that skips whole blocks that cannot beat the incumbent.
+//  - ect_select_reference / ect_schedule_reference: the scalar scan and
+//    the batch loop over it, bit-identical to the blocked kernel (the
+//    golden oracle for tests/sim/).
 //  - pull_schedule_dary / pull_schedule_reference: kDynamicPull on the
 //    flat 4-ary util::QuadHeap vs the std::priority_queue oracle;
 //    identical pop order because (free_at, host) keys are totally
@@ -34,6 +34,10 @@
 #include <vector>
 
 #include "backend/backend.h"
+
+namespace resmodel::backend {
+struct KernelOps;
+}  // namespace resmodel::backend
 
 namespace resmodel::sim {
 
@@ -101,25 +105,58 @@ struct ScheduleState {
   }
 };
 
+/// One minimum-completion pick: the winning original host index and its
+/// completion key[host] + task * inv_rates[host].
+struct EctPick {
+  std::uint32_t host = 0;
+  double done = 0.0;
+};
+
+/// The blocked minimum-completion selection (src/sim/README.md): for a
+/// task, the host minimizing key[h] + task * inv_rates[h], smallest
+/// original index on exact ties. Keeps the key column in ect_order
+/// layout plus per-block minima; per task, the block with the lowest
+/// bound block_min_key[b] + task * ect_block_min_inv[b] is swept first
+/// (warm start), then every block whose bound is not strictly above the
+/// incumbent. Bit-identical to ect_select_reference.
+class EctSelector {
+ public:
+  /// Builds `state`'s ect_* caches; `state` and `ops` must outlive the
+  /// selector, and load() must run before select().
+  EctSelector(ScheduleState& state, const backend::KernelOps& ops);
+
+  /// Gathers a host-order key column (one entry per host) into ect_order
+  /// layout and rebuilds every block minimum.
+  void load(std::span<const double> key);
+
+  /// Sets one host's key and re-derives its block's minimum.
+  void set(std::size_t host, double key);
+
+  /// The pick for `task`; requires at least one host.
+  EctPick select(double task);
+
+ private:
+  const ScheduleState& state_;
+  const backend::KernelOps& ops_;
+  std::vector<double> skey_;    ///< key column in ect_order layout
+  std::vector<double> bmin_;    ///< per-block minimum of skey_
+  std::vector<double> bounds_;  ///< select()'s per-task block-bound row
+};
+
+/// EctSelector::select's scalar oracle over host-order columns: first
+/// strict improvement wins. Requires at least one host.
+EctPick ect_select_reference(std::span<const double> key,
+                             std::span<const double> inv_rates, double task);
+
 /// Minimum-completion-time scheduling of `tasks` (costs in MIPS-days, in
 /// arrival order) over `state`: each task goes to the host minimizing
-/// free_at[h] + task * inv_rates[h], lowest host index on exact ties.
-/// Blocked kernel over the rate-sorted layout: per block, the candidate
-/// completion times are materialized into a small buffer and min-reduced
-/// (auto-vectorizable); a block is skipped outright when
-///   block_min_free[b] + task * ect_block_min_inv[b] > best_so_far,
-/// a true lower bound on every completion time inside it (monotone
-/// rounding keeps it a lower bound in floating point too). The strict
-/// `>` means a block that could still tie the incumbent is always
-/// scanned, and the winner is the smallest *original* host index among
-/// all hosts achieving the global minimum — exactly the scalar loop's
-/// first-strict-improvement pick. Updates free_at / busy_days in place.
+/// free_at[h] + task * inv_rates[h], lowest host index on exact ties (an
+/// EctSelector keyed on free_at). Updates free_at / busy_days in place.
 DynamicScheduleTotals ect_schedule_blocked(ScheduleState& state,
                                            std::span<const double> tasks);
 
-/// The retained scalar ECT loop — same formula, same tie-break, scans
-/// every host for every task. Golden oracle and benchmark baseline;
-/// bit-identical to ect_schedule_blocked.
+/// The scalar ECT loop (ect_select_reference per task). Golden oracle
+/// and benchmark baseline; bit-identical to ect_schedule_blocked.
 DynamicScheduleTotals ect_schedule_reference(ScheduleState& state,
                                              std::span<const double> tasks);
 

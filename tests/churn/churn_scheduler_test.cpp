@@ -140,6 +140,20 @@ TEST(ChurnScheduler, BlockedBitIdenticalToReference) {
   }
 }
 
+TEST(ChurnScheduler, AbandonSelectorMatchesReferenceAtManyBlocks) {
+  // kAbandon selects through sim::EctSelector keyed on the ready-at
+  // cursor: 5,000 hosts (79 blocks) with rates duplicated in runs, so
+  // equal keys tie across blocks, and more tasks than hosts, so every
+  // host is re-keyed many times and abandoned attempts re-queue.
+  std::vector<double> rates = random_rates(5000, 61);
+  for (std::size_t h = 0; h + 2 < rates.size(); h += 3) {
+    rates[h + 1] = rates[h + 2] = rates[h];
+  }
+  const IntervalTimeline timeline = model_timeline(5000, 62);
+  expect_run_identical(rates, timeline, random_tasks(8000, 63),
+                       InterruptionPolicy::kAbandon);
+}
+
 TEST(ChurnScheduler, GoldenDenseNearTies) {
   // Adversarial for the gates: rates within a relative 1e-9 of each
   // other and ONE shared timeline put hundreds of lanes inside every
@@ -351,6 +365,21 @@ TEST(ChurnScheduler, WarmSeedConstructorMatchesFreshDerivation) {
     EXPECT_EQ(a.interruptions, b.interruptions);
     for (std::size_t h = 0; h < fresh.size(); ++h) {
       EXPECT_EQ(fresh.free_at[h], warmed.free_at[h]) << "host " << h;
+    }
+  }
+}
+
+TEST(ChurnScheduler, RunOnNoHostsReturnsZeroTotals) {
+  sim::ScheduleState state = state_from_rates({});
+  const IntervalTimeline timeline = model_timeline(0, 97);
+  ChurnScheduler sched(state, timeline);
+  const std::vector<double> tasks = random_tasks(5, 98);
+  for (const InterruptionPolicy policy : kAllPolicies) {
+    for (const ChurnScheduleTotals& t :
+         {sched.run(tasks, policy), sched.run_reference(tasks, policy)}) {
+      EXPECT_EQ(t.makespan_days, 0.0);
+      EXPECT_EQ(t.total_cpu_days, 0.0);
+      EXPECT_EQ(t.interruptions, 0u);
     }
   }
 }

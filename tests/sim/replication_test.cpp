@@ -7,8 +7,12 @@
 #include <stdexcept>
 #include <vector>
 
+#include "churn/churn_scheduler.h"
+#include "churn/interval_timeline.h"
 #include "core/host_generator.h"
 #include "sim/bag_of_tasks.h"
+#include "sim/replication.h"
+#include "synth/availability.h"
 #include "util/rng.h"
 
 namespace resmodel::sim {
@@ -70,6 +74,34 @@ TEST(Replication, OneOfOneNoFaultsMatchesPlainChurnRun) {
     EXPECT_EQ(b.replication.tasks_validated, 600u);
     EXPECT_TRUE(b.replication.conserves_tasks());
   }
+}
+
+TEST(Replication, OneOfOneNoFaultsMatchesPlainDeratedEctRun) {
+  // kDynamicEct with model_availability: the plain run derates its rates
+  // from the availability realization, and the replicated run derates
+  // them from the same draw and keeps its timeline for the crash model,
+  // so both sample the identical workload. A 1-of-1, fault-free,
+  // deadline-free replicated run steps the selection one replica at a
+  // time — the stepped and the batch use of the blocked ECT selection
+  // must pick the same hosts. 2,000 hosts span 32 blocks.
+  const auto hosts = model_hosts(2000, 5);
+  BagOfTasksConfig plain;
+  plain.task_count = 3000;
+  plain.model_availability = true;
+  BagOfTasksConfig replicated = plain;
+  replicated.replication.enabled = true;
+  util::Rng r1(19), r2(19);
+  const BagOfTasksResult a =
+      run_bag_of_tasks(hosts, plain, SchedulingPolicy::kDynamicEct, r1);
+  const BagOfTasksResult b =
+      run_bag_of_tasks(hosts, replicated, SchedulingPolicy::kDynamicEct, r2);
+  EXPECT_EQ(a.makespan_days, b.makespan_days);
+  EXPECT_EQ(a.total_cpu_days, b.total_cpu_days);
+  EXPECT_EQ(a.max_host_busy_days, b.max_host_busy_days);
+  EXPECT_EQ(a.mean_host_busy_days, b.mean_host_busy_days);
+  EXPECT_EQ(a.hosts_used, b.hosts_used);
+  EXPECT_EQ(b.replication.tasks_validated, 3000u);
+  EXPECT_TRUE(b.replication.conserves_tasks());
 }
 
 TEST(Replication, ConservationAcrossPoliciesAndMixes) {
@@ -135,6 +167,90 @@ TEST(Replication, ScalarOracleMatchesFastPathBitwise) {
               s.replication.wasted_replica_cpu_days);
     EXPECT_EQ(f.replication.reissue_latency_p99_days,
               s.replication.reissue_latency_p99_days);
+  }
+}
+
+TEST(Replication, ScalarOracleMatchesFastPathAcrossReissueRounds) {
+  // 5,000 hosts (79 blocks) under a 2-of-3 quorum whose deadline is
+  // short enough that tasks fail every round, so advance_time reloads
+  // the blocked selection before each re-issue round. The blocked
+  // selections (kDynamicEct keyed on free_at, kChurnEctAbandon keyed on
+  // the ready-at cursor) must reproduce the scalar oracle's schedule:
+  // every host column and every counter, bit for bit.
+  constexpr std::size_t kHosts = 5000;
+  util::Rng rng(41);
+  std::vector<double> rates(kHosts);
+  for (double& r : rates) r = 50.0 + rng.uniform() * 5000.0;
+  const churn::IntervalTimeline timeline = churn::IntervalTimeline::generate(
+      synth::AvailabilityModel{}, kHosts, 0.0, 60.0, rng);
+  FaultMixConfig mix;
+  mix.crash_fraction = 0.15;
+  mix.straggler_fraction = 0.15;
+  mix.corrupter_fraction = 0.1;
+  const FaultProfiles faults = sample_fault_profiles(kHosts, mix, rng);
+  std::vector<double> tasks(4000);
+  for (double& t : tasks) t = 200.0 + rng.uniform() * 4000.0;
+  ReplicationConfig rep;
+  rep.enabled = true;
+  rep.quorum = 2;
+  rep.replicas = 3;
+  rep.deadline_days = 0.5;
+  rep.max_retries = 2;
+
+  for (const bool abandon : {false, true}) {
+    ScheduleState fast = ScheduleState::from_rates(rates);
+    ScheduleState oracle = ScheduleState::from_rates(rates);
+    BagOfTasksResult f;
+    BagOfTasksResult o;
+    if (abandon) {
+      churn::ChurnScheduler fast_sched(fast, timeline);
+      churn::ChurnScheduler oracle_sched(oracle, timeline);
+      f = run_replicated_churn(fast_sched, fast, tasks, faults, rep,
+                               churn::InterruptionPolicy::kAbandon, false);
+      o = run_replicated_churn(oracle_sched, oracle, tasks, faults, rep,
+                               churn::InterruptionPolicy::kAbandon, true);
+    } else {
+      f = run_replicated_ect(fast, timeline, tasks, faults, rep,
+                             backend::Backend::kAuto, false);
+      o = run_replicated_ect(oracle, timeline, tasks, faults, rep,
+                             backend::Backend::kAuto, true);
+    }
+    SCOPED_TRACE(abandon ? "kChurnEctAbandon" : "kDynamicEct");
+    // Tasks fail terminally only in the last round (round max_retries),
+    // so a failure proves that every re-issue round ran.
+    EXPECT_GT(o.replication.tasks_invalid +
+                  o.replication.tasks_missed_deadline,
+              0u);
+    EXPECT_GT(o.replication.reissues, 0u);
+    EXPECT_EQ(f.makespan_days, o.makespan_days);
+    EXPECT_EQ(f.total_cpu_days, o.total_cpu_days);
+    EXPECT_EQ(f.wasted_cpu_days, o.wasted_cpu_days);
+    EXPECT_EQ(f.interruptions, o.interruptions);
+    EXPECT_EQ(f.hosts_used, o.hosts_used);
+    const ReplicationOutcome& x = f.replication;
+    const ReplicationOutcome& y = o.replication;
+    EXPECT_EQ(x.tasks_issued, y.tasks_issued);
+    EXPECT_EQ(x.tasks_validated, y.tasks_validated);
+    EXPECT_EQ(x.tasks_invalid, y.tasks_invalid);
+    EXPECT_EQ(x.tasks_missed_deadline, y.tasks_missed_deadline);
+    EXPECT_EQ(x.replicas_issued, y.replicas_issued);
+    EXPECT_EQ(x.replicas_correct, y.replicas_correct);
+    EXPECT_EQ(x.replicas_corrupt, y.replicas_corrupt);
+    EXPECT_EQ(x.replicas_crashed, y.replicas_crashed);
+    EXPECT_EQ(x.replicas_missed_deadline, y.replicas_missed_deadline);
+    EXPECT_EQ(x.replicas_duplicate_host, y.replicas_duplicate_host);
+    EXPECT_EQ(x.reissues, y.reissues);
+    EXPECT_EQ(x.wasted_replica_cpu_days, y.wasted_replica_cpu_days);
+    EXPECT_EQ(x.reissue_latency_p50_days, y.reissue_latency_p50_days);
+    EXPECT_EQ(x.reissue_latency_p90_days, y.reissue_latency_p90_days);
+    EXPECT_EQ(x.reissue_latency_p99_days, y.reissue_latency_p99_days);
+    EXPECT_EQ(x.last_validation_day, y.last_validation_day);
+    std::size_t differing_hosts = 0;
+    for (std::size_t h = 0; h < kHosts; ++h) {
+      differing_hosts += fast.busy_days[h] != oracle.busy_days[h] ||
+                         fast.free_at[h] != oracle.free_at[h];
+    }
+    EXPECT_EQ(differing_hosts, 0u);
   }
 }
 

@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <vector>
 
+#include "backend/kernels.h"
 #include "util/rng.h"
 
 namespace resmodel::sim {
@@ -141,6 +143,60 @@ TEST(EctKernels, SingleHostAccumulatesSequentially) {
   EXPECT_EQ(state.free_at[0], totals.makespan_days);
   EXPECT_EQ(totals.total_cpu_days, totals.makespan_days);
   EXPECT_DOUBLE_EQ(totals.makespan_days, 2.0 + 1.0 + 4.0);
+}
+
+TEST(EctSelector, MatchesScalarOracleBitwiseUnderUpdates) {
+  // Keys, rates and tasks on a coarse dyadic grid, so every completion is
+  // exact and equal completions tie exactly — within and across blocks,
+  // and against block bounds. Rates are scattered over the hosts, so the
+  // rate-sorted blocks interleave original indices and the smallest tied
+  // index often sits in a block swept after the incumbent's. Between
+  // selections the winner's key moves to its completion (a commit) and
+  // random hosts are re-keyed; every 100 selections a fresh column is
+  // loaded over the updated one.
+  using backend::SimdLevel;
+  std::vector<SimdLevel> levels = {SimdLevel::kNone};
+  if (backend::effective_cpu().avx2) levels.push_back(SimdLevel::kAvx2);
+  if (backend::effective_cpu().avx512) levels.push_back(SimdLevel::kAvx512);
+  const auto half_steps = [](util::Rng& rng, std::uint64_t n) {
+    return 0.5 * static_cast<double>(rng.uniform_index(n));
+  };
+  for (const std::size_t hosts :
+       {std::size_t{1}, std::size_t{63}, std::size_t{64}, std::size_t{65},
+        std::size_t{5000}}) {
+    util::Rng setup(hosts);
+    std::vector<double> rates(hosts);
+    for (double& r : rates) {
+      r = std::ldexp(1.0, static_cast<int>(setup.uniform_index(4)));
+    }
+    std::vector<double> initial(hosts);
+    for (double& k : initial) k = half_steps(setup, 8);
+    ScheduleState state = ScheduleState::from_rates(rates);
+    for (const SimdLevel level : levels) {
+      std::vector<double> key = initial;
+      EctSelector selector(state, backend::kernel_ops(level));
+      selector.load(key);
+      util::Rng rng(hosts + 1);
+      for (int i = 0; i < 600; ++i) {
+        if (i % 100 == 99) {
+          for (double& k : key) k = half_steps(rng, 64);
+          selector.load(key);
+        }
+        const double task = static_cast<double>(1 + rng.uniform_index(16));
+        const EctPick want = ect_select_reference(key, state.inv_rates, task);
+        const EctPick got = selector.select(task);
+        ASSERT_EQ(got.host, want.host) << hosts << " hosts, task " << i;
+        ASSERT_EQ(got.done, want.done) << hosts << " hosts, task " << i;
+        key[want.host] = want.done;
+        selector.set(want.host, want.done);
+        for (int u = 0; u < 3; ++u) {
+          const std::size_t h = rng.uniform_index(hosts);
+          key[h] = half_steps(rng, 64);
+          selector.set(h, key[h]);
+        }
+      }
+    }
+  }
 }
 
 TEST(PullKernels, HonorPreAdvancedFreeAt) {

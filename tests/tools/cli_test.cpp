@@ -318,6 +318,20 @@ TEST(Cli, SweepRejectsBadReplicationFlags) {
                  "--policies=rr", "--replication=2/3"},
                 nullptr, &err),
             kFailure);
+  // Re-issue knobs without a deadline would do nothing (no deadline, no
+  // re-issue round) — alone or beside --replication, they are refused.
+  for (const std::string flag : {"--retries=3", "--backoff=1.5"}) {
+    for (const bool with_replication : {false, true}) {
+      std::vector<std::string> args = {"sweep", model_path, "2010-06-01",
+                                       "100", "50", "--policies=ect", flag};
+      if (with_replication) args.push_back("--replication=2/3");
+      EXPECT_EQ(run(args, nullptr, &err), kUsage) << flag;
+      EXPECT_NE(err.find(flag.substr(0, flag.find('=')) +
+                         " needs --deadline-days"),
+                std::string::npos)
+          << err;
+    }
+  }
 }
 
 TEST(Cli, SynthRejectsBadArgs) {

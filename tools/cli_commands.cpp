@@ -581,6 +581,7 @@ int cmd_sweep(const std::vector<std::string>& args, std::ostream& out,
   sweep.task_counts = {10000};
   bool churn = false;
   bool policies_explicit = false;
+  const char* reissue_flag = nullptr;  // --backoff / --retries, if given
   // Default churn policy set when --churn is given without --interrupt.
   std::vector<sim::SchedulingPolicy> churn_policies = {
       sim::SchedulingPolicy::kChurnEctCheckpoint,
@@ -602,6 +603,7 @@ int cmd_sweep(const std::vector<std::string>& args, std::ostream& out,
       sweep.base.replication.backoff =
           parse_positive_double(arg.substr(10), "--backoff");
       sweep.base.replication.enabled = true;
+      reissue_flag = "--backoff";
     } else if (arg.starts_with("--retries=")) {
       // 0 is legitimate (no re-issue), so parse digits directly.
       const std::string value = arg.substr(10);
@@ -612,6 +614,7 @@ int cmd_sweep(const std::vector<std::string>& args, std::ostream& out,
       sweep.base.replication.max_retries =
           static_cast<std::uint32_t>(std::stoul(value));
       sweep.base.replication.enabled = true;
+      reissue_flag = "--retries";
     } else if (arg.starts_with("--fault-mix=")) {
       sweep.base.fault_mix = parse_fault_mix(arg.substr(12));
     } else if (arg.starts_with("--threads=")) {
@@ -659,6 +662,12 @@ int cmd_sweep(const std::vector<std::string>& args, std::ostream& out,
     } else {
       positional.push_back(arg);
     }
+  }
+  if (reissue_flag != nullptr && !sweep.base.replication.has_deadline()) {
+    // Re-issue rounds run only under a finite deadline; without one the
+    // flag would silently arm a replicated run that never re-issues.
+    err << "sweep: " << reissue_flag << " needs --deadline-days=D\n";
+    return kUsage;
   }
   const bool replicated = sweep.base.replicated_run();
   if (replicated && !policies_explicit) {
