@@ -71,7 +71,14 @@ void EngineConfig::validate() const {
     throw std::invalid_argument(
         "EngineConfig: cohort mode needs cohort_horizon_days > 0");
   }
-  if (replication.enabled) replication.validate();
+  if (replication.enabled) {
+    replication.validate();
+  } else if (replication.has_deadline()) {
+    // Only the quorum overlay reads the deadline; without it the run
+    // would silently keep the server's report deadline.
+    throw std::invalid_argument(
+        "EngineConfig: replication.deadline_days needs replication enabled");
+  }
   if (checkpoint_every_days == 0) {
     throw std::invalid_argument(
         "EngineConfig: checkpoint_every_days must be >= 1");
@@ -124,7 +131,7 @@ EngineResult run_service_engine(const EngineConfig& config) {
     meta.params.limit_day = limit_day;
     meta.params.batch_size = config.batch_size;
     meta.params.emit_day_records = config.replication.enabled;
-    if (config.replication.enabled && config.replication.has_deadline()) {
+    if (config.replication.has_deadline()) {
       meta.params.server.report_deadline_days =
           config.replication.deadline_days;
     }

@@ -99,7 +99,8 @@ struct EngineConfig {
   std::uint64_t checkpoint_fault_epoch = 1;
 
   /// Throws std::invalid_argument on shards/batch_size of 0, a cohort
-  /// without a positive horizon, an invalid replication config,
+  /// without a positive horizon, an invalid replication config, a finite
+  /// replication.deadline_days with replication disabled,
   /// checkpoint_every_days of 0, or a checkpoint fault without a
   /// checkpoint path.
   void validate() const;

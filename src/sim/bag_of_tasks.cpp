@@ -27,6 +27,11 @@ bool is_churn_policy(SchedulingPolicy policy) noexcept {
   }
 }
 
+bool PolicySweepConfig::draws_availability() const noexcept {
+  return base.model_availability || base.replicated_run() ||
+         std::ranges::any_of(policies, is_churn_policy);
+}
+
 // Deliberately one code path for both consumers: deriving the fractions
 // FROM the compiled timeline is what guarantees derate and churn runs
 // consume identical realizations (and the CSR batch generation is what
@@ -537,6 +542,11 @@ PolicySweepResult run_policy_sweep(std::span<const SweepPopulation> populations,
         throw std::invalid_argument("run_policy_sweep: unknown policy");
     }
   }
+  if (config.base.availability_coupled && !config.draws_availability()) {
+    throw std::invalid_argument(
+        "run_policy_sweep: availability_coupled needs model_availability, "
+        "a churn policy or a replicated run (no cell draws availability)");
+  }
 
   PolicySweepResult result;
   result.policy_count = config.policies.size();
@@ -579,7 +589,7 @@ PolicySweepResult run_policy_sweep(std::span<const SweepPopulation> populations,
     util::Rng rng(config.workload_seed);
     std::vector<double> base_rates = base_host_rates(populations[p].hosts);
     std::vector<double> flagged_rates;
-    if (config.base.model_availability || any_churn || replicated) {
+    if (config.draws_availability()) {
       util::Rng avail_rng = rng;
       const AvailabilityRealization real =
           realize_availability(base_rates, config.base, avail_rng);

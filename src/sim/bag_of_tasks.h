@@ -65,8 +65,10 @@ struct BagOfTasksConfig {
   /// its speed through an extra copula dimension (see
   /// churn/coupled_availability.h) before intervals are drawn — negative
   /// `availability_coupling.speed_rho` produces the fast-but-flaky
-  /// population. Applies to the scalar derate and the churn timeline
-  /// alike, so both see the same coupled realizations.
+  /// population. Applies to the scalar derate, the churn timeline and a
+  /// replicated run's crash model alike, so all see the same coupled
+  /// realizations; run_policy_sweep refuses it when no cell draws one
+  /// (PolicySweepConfig::draws_availability).
   bool availability_coupled = false;
   churn::AvailabilityCoupling availability_coupling;
 
@@ -272,6 +274,13 @@ struct PolicySweepConfig {
   /// depends on execution order — the grid is thread-count invariant.
   std::uint64_t workload_seed = 999;
   int threads = 0;  ///< workers for the cell grid; 0 = hardware concurrency
+
+  /// True when some cell consumes an availability draw: the scalar
+  /// derate (base.model_availability), a churn policy's interval
+  /// timeline, or a replicated run's crash model. The one home of the
+  /// coupling rule: run_policy_sweep refuses base.availability_coupled
+  /// when this is false, since nothing would read the coupling.
+  bool draws_availability() const noexcept;
 };
 
 /// One completed grid cell: indices into the populations span and the
@@ -302,7 +311,8 @@ struct PolicySweepResult {
 /// rethrows on the caller). Cells are independent
 /// and deterministically seeded, so the result is identical for any
 /// thread count. Throws std::invalid_argument on an empty grid axis, an
-/// empty population, or a degenerate base config.
+/// empty population, a degenerate base config, or a coupled availability
+/// that no cell draws (see PolicySweepConfig::draws_availability).
 PolicySweepResult run_policy_sweep(std::span<const SweepPopulation> populations,
                                    const PolicySweepConfig& config);
 

@@ -326,6 +326,13 @@ TEST(ServiceEngine, ValidatesConfig) {
   bad = config;
   bad.collection.fault_mix.crash_fraction = 0.1;
   EXPECT_THROW(run_service_engine(bad), std::invalid_argument);
+
+  // Only the quorum overlay reads a replication deadline.
+  bad = config;
+  bad.replication.deadline_days = 2.0;
+  EXPECT_THROW(bad.validate(), std::invalid_argument);
+  bad.replication.enabled = true;
+  EXPECT_NO_THROW(bad.validate());
 }
 
 }  // namespace

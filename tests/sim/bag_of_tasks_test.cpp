@@ -497,6 +497,38 @@ TEST(BagOfTasks, SharedRealizationOverloadValidatesCoverage) {
                std::invalid_argument);
 }
 
+TEST(PolicySweep, AvailabilityCouplingNeedsACellThatDrawsAvailability) {
+  std::vector<SweepPopulation> populations;
+  populations.push_back(
+      {"pop", HostResourcesSoA::from_hosts(model_hosts(600, 33))});
+  PolicySweepConfig sweep;
+  sweep.policies = {SchedulingPolicy::kDynamicEct};
+  sweep.task_counts = {900};
+  sweep.base.availability_coupled = true;
+  sweep.base.availability_coupling.speed_rho = -0.8;
+  // Plain dynamic ECT: no derate, no churn policy, not replicated —
+  // nothing would read the coupling.
+  EXPECT_FALSE(sweep.draws_availability());
+  EXPECT_THROW(run_policy_sweep(populations, sweep), std::invalid_argument);
+
+  // A replicated run draws the coupled timeline and its crash model walks
+  // it, so the coupling changes the outcome.
+  sweep.base.replication.enabled = true;
+  sweep.base.replication.replicas = 3;
+  sweep.base.replication.quorum = 2;
+  sweep.base.replication.deadline_days = 4.0;
+  sweep.base.fault_mix.crash_fraction = 0.2;
+  EXPECT_TRUE(sweep.draws_availability());
+  const BagOfTasksResult coupled =
+      run_policy_sweep(populations, sweep).at(0, 0, 0).result;
+  sweep.base.availability_coupled = false;
+  const BagOfTasksResult uncoupled =
+      run_policy_sweep(populations, sweep).at(0, 0, 0).result;
+  EXPECT_TRUE(coupled.replication.replicas_crashed !=
+                  uncoupled.replication.replicas_crashed ||
+              coupled.makespan_days != uncoupled.makespan_days);
+}
+
 TEST(PolicySweep, RejectsEmptyAxesAndPopulations) {
   std::vector<SweepPopulation> populations;
   populations.push_back(

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <map>
+#include <set>
 #include <sstream>
 
 #include "core/model_params.h"
@@ -484,10 +486,12 @@ TEST(Cli, GenerateRejectsBadCorrelationFlag) {
                 nullptr, &err),
             kFailure);
   EXPECT_NE(err.find("bad --correlation"), std::string::npos);
+  // An unknown flag is a usage error on every verb.
   EXPECT_EQ(run({"generate", "m.txt", "2010-06-01", "10", "h.csv",
                  "--frobnicate"},
                 nullptr, &err),
-            kFailure);
+            kUsage);
+  EXPECT_NE(err.find("unknown flag"), std::string::npos);
 }
 
 TEST(Cli, GenerateEmpiricalNeedsTrace) {
@@ -907,6 +911,144 @@ TEST(Cli, PackRejectsExplicitZeroShard) {
                  "--shard=-5"},
                 nullptr, &err),
             kFailure);
+}
+
+// --- one flag table per verb -----------------------------------------------
+
+std::string paper_model(const std::string& name) {
+  const std::string path = temp_path(name);
+  std::ofstream(path) << core::paper_params().serialize();
+  return path;
+}
+
+TEST(Cli, UsageListsEveryFlagAndTheParserKnowsEach) {
+  // The flag contract, verb by verb: a flag left out of its verb's table
+  // drops out of usage_text() and fails here.
+  const std::map<std::string, std::set<std::string>> expected = {
+      {"help", {}},
+      {"synth", {}},
+      {"collect", {}},
+      {"fit", {}},
+      {"generate", {"--correlation", "--trace"}},
+      {"predict", {}},
+      {"validate", {"--correlation", "--trace"}},
+      {"sweep",
+       {"--policies", "--threads", "--seed", "--availability", "--churn",
+        "--interrupt", "--churn-levels", "--avail-coupling", "--backend",
+        "--replication", "--deadline-days", "--backoff", "--retries",
+        "--fault-mix"}},
+      {"serve",
+       {"--clients", "--days", "--shards", "--threads", "--seed", "--batch",
+        "--mean-contact-days", "--availability", "--fault-mix",
+        "--replication", "--deadline-days", "--checkpoint",
+        "--checkpoint-every-days", "--resume", "--stop-after-day",
+        "--checkpoint-fault"}},
+      {"backends", {}},
+      {"pack", {"--generate", "--shard", "--seed"}},
+      {"unpack", {"--digest-only", "--recover"}},
+      {"verify", {"--digests"}},
+  };
+  // A verb's lines open with "  resmodel <verb>", its flag lines with six
+  // spaces and the flag as the usage spells it ("--threads=N").
+  std::map<std::string, std::vector<std::string>> listed;
+  std::map<std::string, std::set<std::string>> names;
+  std::istringstream usage(usage_text());
+  std::string verb;
+  for (std::string line; std::getline(usage, line);) {
+    if (line.starts_with("  resmodel ")) {
+      verb = line.substr(11, line.find(' ', 11) - 11);
+      names[verb];
+    } else if (line.starts_with("      --")) {
+      const std::string flag = line.substr(6, line.find(' ', 6) - 6);
+      listed[verb].push_back(flag);
+      names[verb].insert(flag.substr(0, flag.find('=')));
+    }
+  }
+  EXPECT_EQ(names, expected);
+
+  for (const auto& [name, flags] : names) {
+    SCOPED_TRACE(name);
+    std::string out;
+    EXPECT_EQ(run({name, "--help"}, &out), kOk);
+    EXPECT_EQ(out, usage_text());
+    // Each flag as listed and without positionals: the verb may refuse
+    // the placeholder value or the missing arguments, never the flag.
+    for (const std::string& flag : listed[name]) {
+      std::string err;
+      run({name, flag}, nullptr, &err);
+      EXPECT_EQ(err.find("unknown flag"), std::string::npos)
+          << flag << ": " << err;
+    }
+  }
+}
+
+TEST(Cli, RefusesFlagsTheRunWouldIgnore) {
+  const std::string csv = temp_path("cli_ignored.csv");
+  const std::string snap = temp_path("cli_ignored.snap");
+  ASSERT_EQ(run({"synth", csv, "200", "7"}), kOk);
+  std::string err;
+  // --seed only seeds --generate's synthesis.
+  EXPECT_EQ(run({"pack", csv, snap, "--seed=5"}, nullptr, &err), kUsage);
+  EXPECT_NE(err.find("pack: --seed needs --generate"), std::string::npos)
+      << err;
+  // --digest-only returns before anything is loaded or recovered.
+  ASSERT_EQ(run({"pack", csv, snap}), kOk);
+  EXPECT_EQ(run({"unpack", snap, "--digest-only", "--recover"}, nullptr,
+                &err),
+            kUsage);
+  EXPECT_NE(err.find("--recover conflicts with --digest-only"),
+            std::string::npos)
+      << err;
+}
+
+TEST(Cli, RejectsNumbersOutOfTheirRange) {
+  const std::string model = paper_model("cli_range_model.txt");
+  const std::vector<std::string> serve = {"serve", "--clients=1000",
+                                          "--days=3"};
+  const std::vector<std::string> sweep = {
+      "sweep", model, "2010-06-01", "100", "50", "--policies=ect"};
+  struct Case {
+    std::vector<std::string> args;
+    std::vector<std::string> flags;
+    std::string name;  ///< what the error must name
+  };
+  for (const auto& [args, flags, name] : std::vector<Case>{
+           {serve, {"--stop-after-day=4294967296"}, "--stop-after-day"},
+           {serve, {"--shards=99999999999"}, "--shards"},
+           {serve, {"--batch=4294967296"}, "--batch"},
+           {serve,
+            {"--checkpoint=" + temp_path("cli_range.snap"),
+             "--checkpoint-every-days=4294967296"},
+            "--checkpoint-every-days"},
+           {sweep, {"--threads=4294967297"}, "--threads"},
+           {sweep, {"--deadline-days=4", "--retries=4294967296"}, "--retries"},
+           {sweep, {"--replication=4294967298/4294967299"}, "--replication"},
+           // An infinite deadline is no deadline: nothing to re-issue on.
+           {sweep, {"--deadline-days=inf", "--retries=3"}, "--deadline-days"},
+           {{"predict", model, "2014xyz"}, {}, "year"},
+       }) {
+    std::vector<std::string> invocation = args;
+    invocation.insert(invocation.end(), flags.begin(), flags.end());
+    std::string err;
+    EXPECT_EQ(run(invocation, nullptr, &err), kFailure) << name;
+    EXPECT_NE(err.find("bad " + name), std::string::npos) << err;
+  }
+}
+
+TEST(Cli, SweepAvailCouplingFeedsReplicatedRuns) {
+  // A replicated run draws the coupled availability timeline for its
+  // crash model, so the coupling needs neither --availability nor churn.
+  const std::string model = paper_model("cli_coupled_repl_model.txt");
+  std::string out;
+  ASSERT_EQ(run({"sweep", model, "2010-06-01", "300", "400", "--policies=ect",
+                 "--replication=2/3", "--deadline-days=4",
+                 "--fault-mix=crash:0.2", "--avail-coupling=-0.8"},
+                &out),
+            kOk);
+  EXPECT_NE(out.find("speed-coupled availability, rho=-0.80"),
+            std::string::npos);
+  EXPECT_NE(out.find("replication outcomes (2-of-3 quorum"),
+            std::string::npos);
 }
 
 }  // namespace

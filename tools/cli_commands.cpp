@@ -1,13 +1,19 @@
 #include "cli_commands.h"
 
+#include <algorithm>
+#include <charconv>
+#include <cstdio>
 #include <fstream>
-#include <map>
+#include <functional>
+#include <limits>
+#include <memory>
+#include <optional>
 #include <ostream>
+#include <set>
+#include <span>
 #include <sstream>
 #include <stdexcept>
-
-#include <algorithm>
-#include <cstdio>
+#include <type_traits>
 
 #include "backend/backend.h"
 #include "boinc/simulation.h"
@@ -33,74 +39,314 @@ namespace resmodel::cli {
 
 namespace {
 
-std::size_t parse_count(const std::string& s, const char* what) {
-  // Digits-only: std::stoul would wrap a negative string ("-3") around to
-  // a huge accepted value instead of rejecting it.
-  if (s.empty() || s.find_first_not_of("0123456789") != std::string::npos) {
-    throw std::invalid_argument(std::string("bad ") + what + ": '" + s + "'");
-  }
-  const unsigned long long v = std::stoull(s);
-  if (v == 0) {
-    throw std::invalid_argument(std::string("bad ") + what + ": '" + s +
-                                "' (expected a positive count)");
-  }
-  return static_cast<std::size_t>(v);
-}
+// --- Verb declarations -------------------------------------------------------
 
-/// Digits-only u64 (0 allowed, unlike parse_count).
-std::uint64_t parse_u64(const std::string& value, const char* what) {
-  if (value.empty() ||
-      value.find_first_not_of("0123456789") != std::string::npos) {
-    throw std::invalid_argument(std::string("bad ") + what + ": '" + value +
-                                "'");
-  }
-  return std::stoull(value);
-}
-
-/// Flags shared by the host-synthesis commands. Everything that is not a
-/// recognized --flag stays positional.
-struct SynthesisOptions {
-  model::CorrelationKind correlation = model::CorrelationKind::kCholesky;
-  std::string fit_trace_path;  ///< --trace=, only used by --correlation=empirical
-  std::vector<std::string> positional;
+/// The invocation has the wrong shape (unknown flag, broken flag relation,
+/// positionals that fit no form): kUsage. A bad value is a
+/// std::invalid_argument instead: kFailure.
+struct UsageError : std::runtime_error {
+  using std::runtime_error::runtime_error;
 };
 
-SynthesisOptions parse_synthesis_options(
-    const std::vector<std::string>& args) {
-  SynthesisOptions opts;
-  for (const std::string& arg : args) {
-    if (arg.starts_with("--correlation=")) {
-      const std::string value = arg.substr(14);
-      const auto kind = model::parse_correlation_kind(value);
-      if (!kind) {
-        throw std::invalid_argument(
-            "bad --correlation: '" + value + "' (expected " +
-            model::correlation_kind_names() + ")");
-      }
-      opts.correlation = *kind;
-    } else if (arg.starts_with("--trace=")) {
-      opts.fit_trace_path = arg.substr(8);
-    } else if (arg.starts_with("--")) {
-      throw std::invalid_argument("unknown flag: '" + arg + "'");
-    } else {
-      opts.positional.push_back(arg);
-    }
-  }
-  return opts;
+using Args = std::vector<std::string>;
+/// Stores a flag's value; throws std::invalid_argument with the reason a
+/// value is bad ("expected ...").
+using Apply = std::function<void(const std::string&)>;
+
+/// One flag: `--name=VALUE`, or a switch when `value` is empty.
+struct Flag {
+  std::string name;   ///< "--threads"
+  std::string value;  ///< usage placeholder ("N", "k/n"); empty: a switch
+  std::string help;   ///< one short usage line; may be empty
+  Apply apply;
+  std::string needs = {};     ///< a flag that must also be given
+  std::string excludes = {};  ///< a flag that must not also be given
+};
+
+/// One verb, declared once: parse_args, the usage errors, usage_text()
+/// and run_cli's dispatch all read it. The flags store into state that
+/// `run` owns.
+struct Verb {
+  std::string name;
+  /// One synopsis per form: <required> and [optional] positionals and the
+  /// --flag=V tokens the form requires. A form opening with a flag applies
+  /// when that flag is given, the first form otherwise.
+  std::vector<std::string> forms;
+  std::string note;  ///< what the verb does, one short line
+  std::vector<Flag> flags;
+  std::function<int(const Args& positional, std::ostream& out)> run;
+};
+
+std::string spelled(const Flag& flag) {
+  return flag.value.empty() ? flag.name : flag.name + '=' + flag.value;
 }
 
-/// Builds the generator for the chosen dependence structure. The empirical
-/// model is fitted from `fit_trace` (already plausibility-filtered) over
-/// snapshots spanning the trace's own window, so generating for dates
-/// outside the trace — the extrapolation case — works.
-core::HostGenerator make_generator(const core::ModelParams& params,
-                                   const SynthesisOptions& opts,
-                                   const trace::TraceStore* fit_trace) {
-  return core::HostGenerator(
-      params, model::make_correlation_model(opts.correlation,
-                                            params.resource_correlation,
-                                            fit_trace));
+/// Rethrows a std::invalid_argument from `parse(text)` as
+/// "bad <what>: '<text>' (<reason>)", the form every bad value takes.
+template <class Parse>
+void parse_as(const std::string& what, const std::string& text,
+              const Parse& parse) {
+  try {
+    parse(text);
+  } catch (const std::invalid_argument& e) {
+    throw std::invalid_argument("bad " + what + ": '" + text + "' (" +
+                                e.what() + ")");
+  }
 }
+
+/// Applies each `--name[=value]` in `args` through `verb`'s flags and
+/// returns the positionals. Throws UsageError on an unknown flag, a value
+/// on a switch or none on a flag, broken needs/excludes relations (naming
+/// each) or positionals that do not fit the form that applies.
+Args parse_args(const Verb& verb, const Args& args) {
+  const auto find = [&](const std::string& name) {
+    return std::ranges::find(verb.flags, name, &Flag::name);
+  };
+  Args positional;
+  std::set<std::string> given;
+  for (const std::string& arg : args) {
+    if (!arg.starts_with("--")) {
+      positional.push_back(arg);
+      continue;
+    }
+    const std::size_t eq = arg.find('=');
+    const auto flag = find(arg.substr(0, eq));
+    if (flag == verb.flags.end()) {
+      throw UsageError("unknown flag: '" + arg + "'");
+    }
+    const std::string value = eq == std::string::npos ? "" : arg.substr(eq + 1);
+    if (flag->value.empty() ? eq != std::string::npos : value.empty()) {
+      throw UsageError("expected " + spelled(*flag));
+    }
+    parse_as(flag->name, value, flag->apply);
+    given.insert(flag->name);
+  }
+
+  std::string broken;
+  for (const Flag& f : verb.flags) {
+    if (!given.contains(f.name)) continue;
+    if (!f.needs.empty() && !given.contains(f.needs)) {
+      broken += "; " + f.name + " needs " + spelled(*find(f.needs));
+    }
+    if (given.contains(f.excludes)) {
+      broken += "; " + f.name + " conflicts with " + f.excludes;
+    }
+  }
+  if (!broken.empty()) throw UsageError(broken.substr(2));
+
+  const auto is_given = [&](const std::string& token) {
+    return given.contains(token.substr(0, token.find_first_of("= ")));
+  };
+  std::string form = verb.forms.front();
+  for (const std::string& f : verb.forms) {
+    if (f.starts_with("--") && is_given(f)) form = f;
+  }
+  std::size_t required = 0;
+  std::size_t optional = 0;
+  bool fits = true;
+  std::istringstream tokens(form);
+  for (std::string token; tokens >> token;) {
+    required += token.starts_with('<');
+    optional += token.starts_with('[');
+    fits = fits && (token.find_first_of("<[") == 0 || is_given(token));
+  }
+  if (!fits || positional.size() < required ||
+      positional.size() > required + optional) {
+    throw UsageError("expected " + (form.empty() ? "no arguments" : form));
+  }
+  return positional;
+}
+
+/// A verb's part of usage_text(): its forms, its note, then its flags,
+/// each with its relations and help.
+std::string usage_block(const Verb& verb) {
+  std::string text;
+  for (const std::string& form : verb.forms) {
+    text += "  resmodel " + verb.name + (form.empty() ? "" : " ") + form + '\n';
+  }
+  text += "    " + verb.note + '\n';
+  for (const Flag& flag : verb.flags) {
+    text += "      " + spelled(flag);
+    if (!flag.needs.empty()) text += "   (needs " + flag.needs + ")";
+    if (!flag.excludes.empty()) text += "   (not with " + flag.excludes + ")";
+    text += '\n';
+    if (!flag.help.empty()) text += "          " + flag.help + '\n';
+  }
+  return text;
+}
+
+// --- Value parsers -----------------------------------------------------------
+
+/// The largest value a T holds (+inf for a real).
+template <class T>
+constexpr T kMax = std::numeric_limits<T>::has_infinity
+                       ? std::numeric_limits<T>::infinity()
+                       : std::numeric_limits<T>::max();
+/// The lower bound of "a positive number": x >= kPositive iff x > 0.
+constexpr double kPositive = std::numeric_limits<double>::denorm_min();
+/// The upper bound of a deadline: an infinite one is no deadline, which is
+/// what leaving --deadline-days out already means.
+constexpr double kFinite = std::numeric_limits<double>::max();
+
+/// The one number parser: digits only for an integer `out` (a sign would
+/// be wrapped or skipped), the whole text for a real, within [lo, hi].
+/// `hi` defaults to the largest value `out` holds, so no value is clamped
+/// or wrapped. Throws std::invalid_argument naming the range.
+template <class T>
+void parse_number(T& out, const std::string& text, std::type_identity_t<T> lo,
+                  std::type_identity_t<T> hi = kMax<T>) {
+  T v{};
+  const char* last = text.data() + text.size();
+  const auto [end, ec] = std::from_chars(text.data(), last, v);
+  const bool digits = !std::is_integral_v<T> ||
+                      text.find_first_not_of("0123456789") == std::string::npos;
+  if (digits && ec == std::errc{} && end == last && v >= lo && v <= hi) {
+    out = v;
+    return;
+  }
+  std::ostringstream range;
+  if constexpr (std::is_integral_v<T>) {
+    range << "an integer in " << lo << ".." << hi;
+  } else if (lo == kPositive) {
+    range << "a positive " << (hi < kMax<T> ? "finite " : "") << "number";
+  } else {
+    range << "a number in [" << lo << ", " << hi << "]";
+  }
+  throw std::invalid_argument("expected " + range.str());
+}
+
+// Applies for plain flags (and, via parse_as, numeric positionals); a
+// flag's `field` lives in its verb's state, kept alive by the verb's run.
+template <class T>
+Apply into(T& field, std::type_identity_t<T> lo,
+           std::type_identity_t<T> hi = kMax<T>) {
+  return [&field, lo, hi](auto& v) { parse_number(field, v, lo, hi); };
+}
+Apply into(std::string& path) {
+  return [&path](auto& v) { path = v; };
+}
+Apply switch_on(bool& field) {
+  return [&field](auto&) { field = true; };
+}
+
+/// The entries of a comma-separated list (a trailing comma adds none).
+Args split(const std::string& list) {
+  Args entries;
+  std::istringstream in(list);
+  for (std::string entry; std::getline(in, entry, ',');) {
+    entries.push_back(entry);
+  }
+  return entries;
+}
+
+struct NamedPolicy {
+  std::string_view name;
+  sim::SchedulingPolicy policy;
+};
+/// --policies names, in the default grid's order.
+constexpr NamedPolicy kBasePolicies[] = {
+    {"rr", sim::SchedulingPolicy::kStaticRoundRobin},
+    {"sw", sim::SchedulingPolicy::kStaticSpeedWeighted},
+    {"pull", sim::SchedulingPolicy::kDynamicPull},
+    {"ect", sim::SchedulingPolicy::kDynamicEct},
+};
+/// --interrupt names; --churn alone adds all three.
+constexpr NamedPolicy kChurnPolicies[] = {
+    {"checkpoint", sim::SchedulingPolicy::kChurnEctCheckpoint},
+    {"restart", sim::SchedulingPolicy::kChurnEctRestart},
+    {"abandon", sim::SchedulingPolicy::kChurnEctAbandon},
+};
+
+std::string joined(std::span<const NamedPolicy> names, char sep) {
+  std::string text;
+  for (const NamedPolicy& n : names) {
+    if (!text.empty()) text += sep;
+    text += n.name;
+  }
+  return text;
+}
+
+/// The one name-list parser: "a,b,a" -> the named policies, order and
+/// duplicates kept.
+std::vector<sim::SchedulingPolicy> parse_names(
+    const std::string& list, std::span<const NamedPolicy> names) {
+  std::vector<sim::SchedulingPolicy> policies;
+  for (const std::string& entry : split(list)) {
+    const auto it = std::ranges::find(names, std::string_view(entry),
+                                      &NamedPolicy::name);
+    if (it == names.end()) {
+      throw std::invalid_argument("expected " + joined(names, '|'));
+    }
+    policies.push_back(it->policy);
+  }
+  return policies;
+}
+
+/// A library name parser's result, or the reason naming what it takes.
+template <class T>
+T or_expected(const std::optional<T>& parsed, const std::string& names) {
+  if (!parsed) throw std::invalid_argument("expected " + names);
+  return *parsed;
+}
+
+/// "k/n" -> quorum k of n replicas (e.g. --replication=2/3).
+void parse_replication(const std::string& spec, sim::ReplicationConfig& rep) {
+  const std::size_t slash = spec.find('/');
+  if (slash == std::string::npos) {
+    throw std::invalid_argument("expected k/n, e.g. 2/3");
+  }
+  parse_number(rep.quorum, spec.substr(0, slash), 1);
+  parse_number(rep.replicas, spec.substr(slash + 1), 1);
+  rep.enabled = true;
+}
+
+/// "crash:0.05,straggler:0.03,corrupt:0.02" — any subset, any order.
+sim::FaultMixConfig parse_fault_mix(const std::string& spec) {
+  sim::FaultMixConfig mix;
+  for (const std::string& entry : split(spec)) {
+    const std::size_t colon = entry.find(':');
+    const std::string kind = entry.substr(0, colon);
+    double* fraction = kind == "crash"       ? &mix.crash_fraction
+                       : kind == "straggler" ? &mix.straggler_fraction
+                       : kind == "corrupt"   ? &mix.corrupter_fraction
+                                             : nullptr;
+    if (colon == std::string::npos || fraction == nullptr) {
+      throw std::invalid_argument(
+          "expected kind:fraction, kind in crash|straggler|corrupt");
+    }
+    parse_number(*fraction, entry.substr(colon + 1), kPositive);
+  }
+  mix.validate();
+  return mix;
+}
+
+/// A --checkpoint-fault spec, KIND[:BYTE]@EPOCH. crash-commit is a kCrash
+/// plan whose offset is never reached during appends, so the simulated
+/// death fires at the rename — after the full tmp file was written,
+/// before publication.
+void parse_checkpoint_fault(const std::string& text,
+                            engine::EngineConfig& config) {
+  using Kind = store::FaultPlan::Kind;
+  const std::size_t at = text.rfind('@');
+  const std::size_t colon = text.find(':');
+  const std::string kind = text.substr(0, std::min(at, colon));
+  store::FaultPlan& plan = config.checkpoint_fault;
+  const bool crash = kind == "crash-byte" || kind == "crash-commit";
+  plan.kind = kind == "enospc" ? Kind::kNoSpace
+              : kind == "eio"  ? Kind::kIoError
+              : crash          ? Kind::kCrash
+                               : Kind::kNone;
+  if (at == std::string::npos || plan.kind == Kind::kNone) {
+    throw std::invalid_argument("expected KIND[:BYTE]@EPOCH");
+  }
+  plan.at_byte = kind == "crash-commit" ? ~std::uint64_t{0} : 65536;
+  if (colon < at) {
+    parse_number(plan.at_byte, text.substr(colon + 1, at - colon - 1), 0);
+  }
+  parse_number(config.checkpoint_fault_epoch, text.substr(at + 1), 1);
+}
+
+// --- Model commands ----------------------------------------------------------
 
 core::ModelParams load_model(const std::string& path) {
   std::ifstream in(path);
@@ -128,153 +374,34 @@ void write_generated_csv(const core::GeneratedHostBatch& hosts,
   }
 }
 
-}  // namespace
-
-std::string usage_text() {
-  return "resmodel — correlated Internet end-host resource models "
-         "(ICDCS'11 reproduction)\n"
-         "usage:\n"
-         "  resmodel help | --help | <command> --help   print this text\n"
-         "  resmodel synth    <out.csv> [active] [seed]\n"
-         "  resmodel collect  <out.csv> [active] [seed]\n"
-         "  resmodel fit      <trace.csv> <model.txt>\n"
-         "  resmodel generate <model.txt> <YYYY-MM-DD> <count> <out.csv>\n"
-         "                    [--correlation=cholesky|independent|empirical]\n"
-         "                    [--trace=<trace.csv>]   (fit data for empirical)\n"
-         "  resmodel predict  <model.txt> <year>\n"
-         "  resmodel validate <model.txt> <trace.csv> <YYYY-MM-DD>\n"
-         "                    [--correlation=cholesky|independent|empirical]\n"
-         "                    [--trace=<fit.csv>]  (empirical fit source;\n"
-         "                     defaults to the trace being validated)\n"
-         "  resmodel sweep    <model.txt> <YYYY-MM-DD> <hosts> "
-         "[tasks[,tasks...]]\n"
-         "                    [--policies=rr,sw,pull,ect] [--threads=N]\n"
-         "                    [--seed=N] [--availability] [--churn]\n"
-         "                    [--interrupt=checkpoint,restart,abandon]\n"
-         "                    [--churn-levels=N]   (churn ECT lookahead\n"
-         "                     depth, 1.." +
-         std::to_string(churn::kMaxLookaheadLevels) +
-         "; implies --churn)\n"
-         "                    [--avail-coupling=rho]   (rank-couples\n"
-         "                     availability to host speed, rho in [-1,1])\n"
-         "                    [--backend=" +
-         backend::backend_names() +
-         "]   (kernel arm for\n"
-         "                     the dynamic policies; results are\n"
-         "                     bit-identical across arms)\n"
-         "                    [--replication=k/n]   (issue n replicas per\n"
-         "                     task, validate on a k-of-n digest quorum)\n"
-         "                    [--deadline-days=D] [--backoff=B] "
-         "[--retries=N]\n"
-         "                     (re-issue rounds: round r's window is\n"
-         "                     D*B^r days, at most N re-issues)\n"
-         "                    [--fault-mix=crash:p,straggler:p,corrupt:p]\n"
-         "                     (per-host fault injection fractions)\n"
-         "  resmodel serve    --clients=N --days=D [--shards=S]\n"
-         "                    [--threads=T] [--seed=N] [--batch=N]\n"
-         "                    [--mean-contact-days=D] [--availability]\n"
-         "                    [--fault-mix=crash:p,straggler:p,corrupt:p]\n"
-         "                     (crash needs --availability: a crash loses\n"
-         "                     work only when an ON session ends)\n"
-         "                    [--replication=k/n] [--deadline-days=D]\n"
-         "                    (sharded virtual-time service engine over an\n"
-         "                     N-client cohort; counters are deterministic\n"
-         "                     and shard/thread-invariant — only the final\n"
-         "                     'timing:' line varies between runs)\n"
-         "                    [--checkpoint=PATH] "
-         "[--checkpoint-every-days=D]\n"
-         "                     (atomically publish the complete resumable\n"
-         "                     engine state every D virtual days)\n"
-         "                    [--stop-after-day=N]   (halt cleanly after\n"
-         "                     day N's barrier — deterministic kill)\n"
-         "                    [--checkpoint-fault="
-         "enospc|eio|crash-byte|crash-commit[:BYTE]@EPOCH]\n"
-         "                     (inject a store fault into the EPOCH'th\n"
-         "                     checkpoint write; the previous published\n"
-         "                     checkpoint survives untouched)\n"
-         "  resmodel serve    --resume=PATH [--threads=T]\n"
-         "                    [--checkpoint=PATH] [...]\n"
-         "                    (continue a checkpointed run bit-identically\n"
-         "                     to one never interrupted; population-shape\n"
-         "                     flags conflict — config comes from the\n"
-         "                     checkpoint's run header)\n"
-         "  resmodel backends    print CPU SIMD features and what each\n"
-         "                       requested backend resolves to\n"
-         "  resmodel pack     <in.csv> <out.snap> [--shard=N]\n"
-         "                    (trace or population csv, auto-detected, ->\n"
-         "                     checksummed columnar snapshot)\n"
-         "  resmodel pack     --generate <model.txt> <YYYY-MM-DD> <count>\n"
-         "                    <out.snap> [--shard=N] [--seed=N]\n"
-         "                    (synthesize straight to a sharded snapshot;\n"
-         "                     bounded memory at any count)\n"
-         "  resmodel unpack   <in.snap> [out.csv] [--digest-only] "
-         "[--recover]\n"
-         "                    (--digest-only: checksum walk + digest lines\n"
-         "                     only; --recover: load what is intact,\n"
-         "                     zero-fill and itemize damaged blocks)\n"
-         "  resmodel verify   <in.snap> [--digests]\n"
-         "                    (exit 0 = every block intact; damage is\n"
-         "                     listed block by block)\n";
+/// synth's and collect's optional [active] [seed] positionals.
+void parse_population_args(const Args& pos,
+                           synth::PopulationConfig& population) {
+  if (pos.size() > 1) {
+    parse_as("active", pos[1], into(population.target_active_hosts, 1));
+  }
+  if (pos.size() > 2) parse_as("seed", pos[2], into(population.seed, 1));
 }
 
-int cmd_backends(const std::vector<std::string>& args, std::ostream& out,
-                 std::ostream& err) {
-  if (!args.empty()) {
-    err << "backends: expected no arguments\n";
-    return kUsage;
-  }
-  // cpu_feature_string reflects effective_cpu(), i.e. detection AFTER the
-  // RESMODEL_SIMD cap — what dispatch actually sees, not raw CPUID.
-  out << "cpu features: " << backend::cpu_feature_string()
-      << " (RESMODEL_SIMD=off|avx2|avx512|native caps detection)\n";
-  util::Table table({"Requested", "Resolves to"});
-  for (const backend::Backend b :
-       {backend::Backend::kAuto, backend::Backend::kScalar,
-        backend::Backend::kBlocked, backend::Backend::kSimd}) {
-    const backend::ResolvedBackend rb = backend::resolve(b);
-    std::string resolved = backend::to_string(rb.arm);
-    if (rb.arm == backend::Backend::kSimd) {
-      resolved += " (" + backend::to_string(rb.simd) + ")";
-    }
-    table.add_row({backend::to_string(b), std::move(resolved)});
-  }
-  table.print(out);
-  return kOk;
-}
-
-int cmd_synth(const std::vector<std::string>& args, std::ostream& out,
-              std::ostream& err) {
-  if (args.empty() || args.size() > 3) {
-    err << "synth: expected <out.csv> [active] [seed]\n";
-    return kUsage;
-  }
+int run_synth(const Args& pos, std::ostream& out) {
   synth::PopulationConfig config;
   config.target_active_hosts = 4000;
-  if (args.size() > 1) config.target_active_hosts = parse_count(args[1], "active");
-  if (args.size() > 2) config.seed = parse_count(args[2], "seed");
+  parse_population_args(pos, config);
   const trace::TraceStore store = synth::generate_population(config);
-  trace::write_csv_file(store, args[0]);
-  out << "wrote " << store.size() << " host records to " << args[0] << '\n';
+  trace::write_csv_file(store, pos[0]);
+  out << "wrote " << store.size() << " host records to " << pos[0] << '\n';
   return kOk;
 }
 
-int cmd_collect(const std::vector<std::string>& args, std::ostream& out,
-                std::ostream& err) {
-  if (args.empty() || args.size() > 3) {
-    err << "collect: expected <out.csv> [active] [seed]\n";
-    return kUsage;
-  }
+int run_collect(const Args& pos, std::ostream& out) {
   boinc::CollectionConfig config;
   config.population.target_active_hosts = 1000;
-  if (args.size() > 1) {
-    config.population.target_active_hosts = parse_count(args[1], "active");
-  }
-  if (args.size() > 2) config.population.seed = parse_count(args[2], "seed");
+  parse_population_args(pos, config.population);
   config.allocate_final_utility = true;
   const boinc::CollectionResult result = boinc::run_collection(config);
-  trace::write_csv_file(result.trace, args[0]);
+  trace::write_csv_file(result.trace, pos[0]);
   out << "collected " << result.trace.size() << " host records over "
-      << result.total_contacts << " scheduler contacts; wrote " << args[0]
+      << result.total_contacts << " scheduler contacts; wrote " << pos[0]
       << '\n';
   const auto apps = sim::paper_applications();
   if (result.final_allocation_hosts > 0) {
@@ -289,71 +416,90 @@ int cmd_collect(const std::vector<std::string>& args, std::ostream& out,
   return kOk;
 }
 
-int cmd_fit(const std::vector<std::string>& args, std::ostream& out,
-            std::ostream& err) {
-  if (args.size() != 2) {
-    err << "fit: expected <trace.csv> <model.txt>\n";
-    return kUsage;
-  }
-  const trace::TraceStore store = trace::read_csv_file(args[0]);
+int run_fit(const Args& pos, std::ostream& out) {
+  const trace::TraceStore store = trace::read_csv_file(pos[0]);
   const core::FitReport report = core::fit_model(store);
-  save_model(report.params, args[1]);
+  save_model(report.params, pos[1]);
   out << "fitted " << report.fitted_hosts << " hosts ("
       << report.discarded_hosts << " discarded by the plausibility rules)\n"
       << "1:2 core ratio law: a = " << report.core_ratios[0].law.a
       << ", b = " << report.core_ratios[0].law.b << '\n'
-      << "model written to " << args[1] << '\n';
+      << "model written to " << pos[1] << '\n';
   return kOk;
 }
 
-int cmd_generate(const std::vector<std::string>& args, std::ostream& out,
-                 std::ostream& err) {
-  const SynthesisOptions opts = parse_synthesis_options(args);
-  if (opts.positional.size() != 4) {
-    err << "generate: expected <model.txt> <YYYY-MM-DD> <count> <out.csv> "
-           "[--correlation=" << model::correlation_kind_names()
-        << "] [--trace=<trace.csv>]\n";
-    return kUsage;
-  }
-  const core::ModelParams params = load_model(opts.positional[0]);
-  const util::ModelDate date = util::ModelDate::parse(opts.positional[1]);
-  const std::size_t count = parse_count(opts.positional[2], "count");
+/// generate's and validate's dependence-structure flags.
+struct CorrelationArgs {
+  model::CorrelationKind kind = model::CorrelationKind::kCholesky;
+  std::string trace_path;  ///< --trace: the empirical copula's fit data
+};
 
-  trace::TraceStore fit_trace;
-  const trace::TraceStore* fit_ptr = nullptr;
-  if (opts.correlation == model::CorrelationKind::kEmpirical) {
-    if (opts.fit_trace_path.empty()) {
-      err << "generate: --correlation=empirical needs --trace=<trace.csv> "
-             "to fit from\n";
-      return kUsage;
-    }
-    fit_trace = trace::read_csv_file(opts.fit_trace_path);
-    fit_trace.discard_implausible();
-    fit_ptr = &fit_trace;
-  } else if (!opts.fit_trace_path.empty()) {
-    err << "generate: --trace only applies to --correlation=empirical\n";
-    return kUsage;
+/// The generator for the chosen dependence structure. The empirical
+/// copula is fitted from the --trace file (plausibility-filtered), else
+/// from `fallback`, over snapshots spanning that trace's own window, so
+/// generating for dates outside it — the extrapolation case — works.
+core::HostGenerator make_generator(const core::ModelParams& params,
+                                   const CorrelationArgs& c,
+                                   const trace::TraceStore* fallback) {
+  const bool empirical = c.kind == model::CorrelationKind::kEmpirical;
+  if (!empirical && !c.trace_path.empty()) {
+    throw UsageError("--trace only applies to --correlation=empirical");
   }
-  const core::HostGenerator generator =
-      make_generator(params, opts, fit_ptr);
+  if (empirical && c.trace_path.empty() && fallback == nullptr) {
+    throw UsageError(
+        "--correlation=empirical needs --trace=<trace.csv> to fit from");
+  }
+  trace::TraceStore loaded;
+  if (!c.trace_path.empty()) {
+    loaded = trace::read_csv_file(c.trace_path);
+    loaded.discard_implausible();
+    fallback = &loaded;
+  }
+  return core::HostGenerator(
+      params, model::make_correlation_model(
+                  c.kind, params.resource_correlation, fallback));
+}
+
+/// A verb with --correlation and --trace: generate and validate.
+Verb correlation_verb(std::string name, std::string form, std::string note,
+                      std::string trace_help,
+                      int (*run)(const CorrelationArgs&, const Args&,
+                                 std::ostream&)) {
+  const auto c = std::make_shared<CorrelationArgs>();
+  return {std::move(name),
+          {std::move(form)},
+          std::move(note),
+          {{"--correlation", model::correlation_kind_names(), "",
+            [c](auto& v) {
+              c->kind = or_expected(model::parse_correlation_kind(v),
+                                    model::correlation_kind_names());
+            }},
+           {"--trace", "<trace.csv>", std::move(trace_help),
+            into(c->trace_path)}},
+          [c, run](auto&... io) { return run(*c, io...); }};
+}
+
+int run_generate(const CorrelationArgs& c, const Args& pos,
+                 std::ostream& out) {
+  const core::ModelParams params = load_model(pos[0]);
+  const util::ModelDate date = util::ModelDate::parse(pos[1]);
+  std::size_t count = 0;
+  parse_as("count", pos[2], into(count, 1));
+  const core::HostGenerator generator = make_generator(params, c, nullptr);
   util::Rng rng(0x7e57ab1e);
   const core::GeneratedHostBatch hosts =
       generator.generate_batch(date, count, rng);
-  write_generated_csv(hosts, opts.positional[3]);
+  write_generated_csv(hosts, pos[3]);
   out << "generated " << hosts.size() << " hosts ("
       << generator.correlation().name() << " correlation) for "
-      << date.to_string() << " -> " << opts.positional[3] << '\n';
+      << date.to_string() << " -> " << pos[3] << '\n';
   return kOk;
 }
 
-int cmd_predict(const std::vector<std::string>& args, std::ostream& out,
-                std::ostream& err) {
-  if (args.size() != 2) {
-    err << "predict: expected <model.txt> <year>\n";
-    return kUsage;
-  }
-  const core::ModelParams params = load_model(args[0]);
-  const double year = std::stod(args[1]);
+int run_predict(const Args& pos, std::ostream& out) {
+  const core::ModelParams params = load_model(pos[0]);
+  double year = 0.0;
+  parse_as("year", pos[1], into(year, -kMax<double>));
   const double t = year - 2006.0;
 
   util::Table table({"Quantity", "Prediction"});
@@ -387,50 +533,31 @@ int cmd_predict(const std::vector<std::string>& args, std::ostream& out,
   return kOk;
 }
 
-int cmd_validate(const std::vector<std::string>& args, std::ostream& out,
-                 std::ostream& err) {
-  const SynthesisOptions opts = parse_synthesis_options(args);
-  if (opts.positional.size() != 3) {
-    err << "validate: expected <model.txt> <trace.csv> <YYYY-MM-DD> "
-           "[--correlation=" << model::correlation_kind_names() << "]\n";
-    return kUsage;
-  }
-  const core::ModelParams params = load_model(opts.positional[0]);
-  trace::TraceStore store = trace::read_csv_file(opts.positional[1]);
+int run_validate(const CorrelationArgs& c, const Args& pos,
+                 std::ostream& out) {
+  const core::ModelParams params = load_model(pos[0]);
+  trace::TraceStore store = trace::read_csv_file(pos[1]);
   store.discard_implausible();
-  const util::ModelDate date = util::ModelDate::parse(opts.positional[2]);
+  const util::ModelDate date = util::ModelDate::parse(pos[2]);
   const trace::ResourceSnapshot actual = store.snapshot(date);
   if (actual.size() == 0) {
-    err << "validate: no active hosts at " << date.to_string() << '\n';
-    return kFailure;
+    throw std::runtime_error("no active hosts at " + date.to_string());
   }
   // The empirical copula refits from the trace being validated unless an
   // explicit --trace= gives a separate (out-of-sample) fit source.
-  trace::TraceStore separate_fit;
-  const trace::TraceStore* fit_ptr = &store;
-  if (!opts.fit_trace_path.empty()) {
-    if (opts.correlation != model::CorrelationKind::kEmpirical) {
-      err << "validate: --trace only applies to --correlation=empirical\n";
-      return kUsage;
-    }
-    separate_fit = trace::read_csv_file(opts.fit_trace_path);
-    separate_fit.discard_implausible();
-    fit_ptr = &separate_fit;
-  }
-  const core::HostGenerator generator =
-      make_generator(params, opts, fit_ptr);
+  const core::HostGenerator generator = make_generator(params, c, &store);
   util::Rng rng(1);
   const core::GeneratedHostBatch generated =
       generator.generate_batch(date, actual.size(), rng);
   util::Table table(
       {"Resource", "mu actual", "mu gen", "mu diff", "sd diff", "KS"});
-  for (const core::ResourceComparison& c :
+  for (const core::ResourceComparison& r :
        core::compare_resources(actual, generated)) {
-    table.add_row({c.name, util::Table::num(c.mean_actual, 1),
-                   util::Table::num(c.mean_generated, 1),
-                   util::Table::pct(c.mean_diff_fraction),
-                   util::Table::pct(c.stddev_diff_fraction),
-                   util::Table::num(c.ks_statistic, 3)});
+    table.add_row({r.name, util::Table::num(r.mean_actual, 1),
+                   util::Table::num(r.mean_generated, 1),
+                   util::Table::pct(r.mean_diff_fraction),
+                   util::Table::pct(r.stddev_diff_fraction),
+                   util::Table::num(r.ks_statistic, 3)});
   }
   out << "Generated-vs-actual at " << date.to_string() << " ("
       << actual.size() << " hosts):\n";
@@ -438,273 +565,46 @@ int cmd_validate(const std::vector<std::string>& args, std::ostream& out,
   return kOk;
 }
 
-namespace {
+// --- sweep -------------------------------------------------------------------
 
-/// "rr,sw,pull,ect" -> policy list (order preserved, duplicates allowed).
-std::vector<sim::SchedulingPolicy> parse_policies(const std::string& spec) {
-  std::vector<sim::SchedulingPolicy> policies;
-  std::stringstream ss(spec);
-  std::string token;
-  while (std::getline(ss, token, ',')) {
-    if (token == "rr") {
-      policies.push_back(sim::SchedulingPolicy::kStaticRoundRobin);
-    } else if (token == "sw") {
-      policies.push_back(sim::SchedulingPolicy::kStaticSpeedWeighted);
-    } else if (token == "pull") {
-      policies.push_back(sim::SchedulingPolicy::kDynamicPull);
-    } else if (token == "ect") {
-      policies.push_back(sim::SchedulingPolicy::kDynamicEct);
-    } else {
-      throw std::invalid_argument("bad policy '" + token +
-                                  "' (expected rr|sw|pull|ect)");
-    }
-  }
-  if (policies.empty()) {
-    throw std::invalid_argument("empty --policies list");
-  }
-  return policies;
-}
-
-std::vector<std::size_t> parse_task_counts(const std::string& spec) {
-  std::vector<std::size_t> counts;
-  std::stringstream ss(spec);
-  std::string token;
-  while (std::getline(ss, token, ',')) {
-    counts.push_back(parse_count(token, "task count"));
-  }
-  if (counts.empty()) {
-    throw std::invalid_argument("empty task-count list");
-  }
-  return counts;
-}
-
-/// "checkpoint,restart,abandon" -> churn policy list (order preserved).
-std::vector<sim::SchedulingPolicy> parse_interruptions(
-    const std::string& spec) {
-  std::vector<sim::SchedulingPolicy> policies;
-  std::stringstream ss(spec);
-  std::string token;
-  while (std::getline(ss, token, ',')) {
-    if (token == "checkpoint") {
-      policies.push_back(sim::SchedulingPolicy::kChurnEctCheckpoint);
-    } else if (token == "restart") {
-      policies.push_back(sim::SchedulingPolicy::kChurnEctRestart);
-    } else if (token == "abandon") {
-      policies.push_back(sim::SchedulingPolicy::kChurnEctAbandon);
-    } else {
-      throw std::invalid_argument(
-          "bad interruption policy '" + token +
-          "' (expected checkpoint|restart|abandon)");
-    }
-  }
-  if (policies.empty()) {
-    throw std::invalid_argument("empty --interrupt list");
-  }
-  return policies;
-}
-
-double parse_rho(const std::string& value) {
-  std::size_t pos = 0;
-  const double rho = std::stod(value, &pos);
-  if (pos != value.size() || !(rho >= -1.0 && rho <= 1.0)) {
-    throw std::invalid_argument("bad --avail-coupling: '" + value +
-                                "' (expected rho in [-1, 1])");
-  }
-  return rho;
-}
-
-double parse_positive_double(const std::string& value, const char* what) {
-  std::size_t pos = 0;
-  const double v = std::stod(value, &pos);
-  if (pos != value.size() || !(v > 0.0)) {
-    throw std::invalid_argument(std::string("bad ") + what + ": '" + value +
-                                "' (expected a positive number)");
-  }
-  return v;
-}
-
-/// "k/n" -> quorum k of n replicas (e.g. --replication=2/3).
-void parse_replication(const std::string& spec, sim::ReplicationConfig& rep) {
-  const std::size_t slash = spec.find('/');
-  if (slash == std::string::npos) {
-    throw std::invalid_argument("bad --replication: '" + spec +
-                                "' (expected k/n, e.g. 2/3)");
-  }
-  rep.quorum = static_cast<std::uint32_t>(
-      parse_count(spec.substr(0, slash), "replication quorum"));
-  rep.replicas = static_cast<std::uint32_t>(
-      parse_count(spec.substr(slash + 1), "replication count"));
-  rep.enabled = true;
-}
-
-/// "crash:0.05,straggler:0.03,corrupt:0.02" — any subset, any order.
-sim::FaultMixConfig parse_fault_mix(const std::string& spec) {
-  sim::FaultMixConfig mix;
-  std::stringstream ss(spec);
-  std::string token;
-  while (std::getline(ss, token, ',')) {
-    const std::size_t colon = token.find(':');
-    if (colon == std::string::npos) {
-      throw std::invalid_argument(
-          "bad --fault-mix entry '" + token +
-          "' (expected kind:fraction, kind in crash|straggler|corrupt)");
-    }
-    const std::string kind = token.substr(0, colon);
-    const double fraction =
-        parse_positive_double(token.substr(colon + 1), "fault fraction");
-    if (kind == "crash") {
-      mix.crash_fraction = fraction;
-    } else if (kind == "straggler") {
-      mix.straggler_fraction = fraction;
-    } else if (kind == "corrupt") {
-      mix.corrupter_fraction = fraction;
-    } else {
-      throw std::invalid_argument("bad --fault-mix kind '" + kind +
-                                  "' (expected crash|straggler|corrupt)");
-    }
-  }
-  mix.validate();
-  return mix;
-}
-
-}  // namespace
-
-int cmd_sweep(const std::vector<std::string>& args, std::ostream& out,
-              std::ostream& err) {
+struct SweepArgs {
   sim::PolicySweepConfig sweep;
-  sweep.policies = {
-      sim::SchedulingPolicy::kStaticRoundRobin,
-      sim::SchedulingPolicy::kStaticSpeedWeighted,
-      sim::SchedulingPolicy::kDynamicPull,
-      sim::SchedulingPolicy::kDynamicEct,
-  };
-  sweep.task_counts = {10000};
-  bool churn = false;
-  bool policies_explicit = false;
-  const char* reissue_flag = nullptr;  // --backoff / --retries, if given
-  // Default churn policy set when --churn is given without --interrupt.
-  std::vector<sim::SchedulingPolicy> churn_policies = {
-      sim::SchedulingPolicy::kChurnEctCheckpoint,
-      sim::SchedulingPolicy::kChurnEctRestart,
-      sim::SchedulingPolicy::kChurnEctAbandon,
-  };
-  std::vector<std::string> positional;
-  for (const std::string& arg : args) {
-    if (arg.starts_with("--policies=")) {
-      sweep.policies = parse_policies(arg.substr(11));
-      policies_explicit = true;
-    } else if (arg.starts_with("--replication=")) {
-      parse_replication(arg.substr(14), sweep.base.replication);
-    } else if (arg.starts_with("--deadline-days=")) {
-      sweep.base.replication.deadline_days =
-          parse_positive_double(arg.substr(16), "--deadline-days");
-      sweep.base.replication.enabled = true;
-    } else if (arg.starts_with("--backoff=")) {
-      sweep.base.replication.backoff =
-          parse_positive_double(arg.substr(10), "--backoff");
-      sweep.base.replication.enabled = true;
-      reissue_flag = "--backoff";
-    } else if (arg.starts_with("--retries=")) {
-      // 0 is legitimate (no re-issue), so parse digits directly.
-      const std::string value = arg.substr(10);
-      if (value.empty() ||
-          value.find_first_not_of("0123456789") != std::string::npos) {
-        throw std::invalid_argument("bad --retries: '" + value + "'");
-      }
-      sweep.base.replication.max_retries =
-          static_cast<std::uint32_t>(std::stoul(value));
-      sweep.base.replication.enabled = true;
-      reissue_flag = "--retries";
-    } else if (arg.starts_with("--fault-mix=")) {
-      sweep.base.fault_mix = parse_fault_mix(arg.substr(12));
-    } else if (arg.starts_with("--threads=")) {
-      sweep.threads = static_cast<int>(parse_count(arg.substr(10), "threads"));
-    } else if (arg.starts_with("--seed=")) {
-      // Unlike the count arguments, 0 is a legitimate seed — but stoull
-      // alone would also wrap negatives, so digits only.
-      const std::string value = arg.substr(7);
-      if (value.empty() ||
-          value.find_first_not_of("0123456789") != std::string::npos) {
-        throw std::invalid_argument("bad seed: '" + value + "'");
-      }
-      sweep.workload_seed = std::stoull(value);
-    } else if (arg == "--availability") {
-      sweep.base.model_availability = true;
-    } else if (arg == "--churn") {
-      churn = true;
-    } else if (arg.starts_with("--interrupt=")) {
-      churn_policies = parse_interruptions(arg.substr(12));
-      churn = true;  // naming interruption policies implies --churn
-    } else if (arg.starts_with("--churn-levels=")) {
-      const std::size_t levels = parse_count(arg.substr(15), "churn levels");
-      if (levels > churn::kMaxLookaheadLevels) {
-        throw std::invalid_argument(
-            "bad --churn-levels: '" + arg.substr(15) + "' (expected 1.." +
-            std::to_string(churn::kMaxLookaheadLevels) + ")");
-      }
-      sweep.base.churn_lookahead_levels = levels;
-      churn = true;  // a churn kernel knob implies --churn
-    } else if (arg.starts_with("--avail-coupling=")) {
-      sweep.base.availability_coupled = true;
-      sweep.base.availability_coupling.speed_rho = parse_rho(arg.substr(17));
-    } else if (arg.starts_with("--backend=")) {
-      const std::string value = arg.substr(10);
-      const auto backend = backend::parse_backend(value);
-      if (!backend) {
-        throw std::invalid_argument("bad --backend: '" + value +
-                                    "' (expected " +
-                                    backend::backend_names() + ")");
-      }
-      sweep.base.backend = *backend;
-    } else if (arg.starts_with("--")) {
-      err << "sweep: unknown flag: '" << arg << "'\n";
-      return kUsage;
-    } else {
-      positional.push_back(arg);
-    }
-  }
-  if (reissue_flag != nullptr && !sweep.base.replication.has_deadline()) {
-    // Re-issue rounds run only under a finite deadline; without one the
-    // flag would silently arm a replicated run that never re-issues.
-    err << "sweep: " << reissue_flag << " needs --deadline-days=D\n";
-    return kUsage;
-  }
+  bool churn = false;              ///< append churn_policies to the grid
+  std::vector<sim::SchedulingPolicy> churn_policies;
+};
+
+int run_sweep(SweepArgs& a, const Args& pos, std::ostream& out) {
+  sim::PolicySweepConfig& sweep = a.sweep;
   const bool replicated = sweep.base.replicated_run();
-  if (replicated && !policies_explicit) {
+  if (sweep.policies.empty()) {
     // Replication only composes with the dynamic-ECT family (static and
     // pull hand out work once and never watch deadlines); narrow the
     // default grid rather than erroring out of the default.
-    sweep.policies = {sim::SchedulingPolicy::kDynamicEct};
+    sweep.policies =
+        replicated ? std::vector{sim::SchedulingPolicy::kDynamicEct}
+                   : parse_names(joined(kBasePolicies, ','), kBasePolicies);
   }
-  if (churn) {
-    sweep.policies.insert(sweep.policies.end(), churn_policies.begin(),
-                          churn_policies.end());
+  if (a.churn) {
+    sweep.policies.insert(sweep.policies.end(), a.churn_policies.begin(),
+                          a.churn_policies.end());
   }
-  if (sweep.base.availability_coupled && !sweep.base.model_availability &&
-      !churn) {
-    // Nothing would consume the coupling: derate is off and no churn
-    // policy walks the timeline — refuse rather than print a header
-    // claiming a coupled experiment ran.
-    err << "sweep: --avail-coupling needs --availability or --churn "
-           "(nothing models availability otherwise)\n";
-    return kUsage;
+  if (sweep.base.availability_coupled && !sweep.draws_availability()) {
+    // run_policy_sweep refuses it as well; this message names the flags.
+    throw UsageError(
+        "--avail-coupling needs --availability, --churn or a replicated "
+        "run (nothing models availability otherwise)");
   }
-  if (positional.size() < 3 || positional.size() > 4) {
-    err << "sweep: expected <model.txt> <YYYY-MM-DD> <hosts> "
-           "[tasks[,tasks...]] [--policies=rr,sw,pull,ect] [--threads=N] "
-           "[--seed=N] [--availability] [--churn] "
-           "[--interrupt=checkpoint,restart,abandon] [--churn-levels=N] "
-           "[--avail-coupling=rho] [--backend=" +
-               backend::backend_names() +
-           "] [--replication=k/n] [--deadline-days=D] [--backoff=B] "
-           "[--retries=N] [--fault-mix=crash:p,straggler:p,corrupt:p]\n";
-    return kUsage;
-  }
-  const core::ModelParams params = load_model(positional[0]);
-  const util::ModelDate date = util::ModelDate::parse(positional[1]);
-  const std::size_t host_count = parse_count(positional[2], "hosts");
-  if (positional.size() > 3) {
-    sweep.task_counts = parse_task_counts(positional[3]);
+  const core::ModelParams params = load_model(pos[0]);
+  const util::ModelDate date = util::ModelDate::parse(pos[1]);
+  std::size_t host_count = 0;
+  parse_as("hosts", pos[2], into(host_count, 1));
+  if (pos.size() > 3) {
+    sweep.task_counts.clear();
+    parse_as("tasks", pos[3], [&](const std::string& list) {
+      for (const std::string& entry : split(list)) {
+        parse_number(sweep.task_counts.emplace_back(), entry, 1);
+      }
+    });
   }
 
   // The host-model axis: the published Cholesky dependence structure vs
@@ -755,7 +655,7 @@ int cmd_sweep(const std::vector<std::string>& args, std::ostream& out,
     }
     table.print(out);
   }
-  if (churn) {
+  if (a.churn) {
     out << "churn cells: " << interruptions << " interruptions, "
         << util::Table::num(wasted_cpu, 1) << " CPU-days of burned attempts "
            "across the grid\n";
@@ -798,175 +698,87 @@ int cmd_sweep(const std::vector<std::string>& args, std::ostream& out,
   return kOk;
 }
 
-/// Parses a --checkpoint-fault spec: KIND[:BYTE]@EPOCH with KIND one of
-/// enospc | eio | crash-byte | crash-commit. crash-commit is a kCrash
-/// plan whose offset is never reached during appends, so the simulated
-/// death fires at the rename — after the full tmp file was written,
-/// before publication.
-store::FaultPlan parse_checkpoint_fault(const std::string& text,
-                                        std::uint64_t& epoch) {
-  const std::size_t at = text.rfind('@');
-  if (at == std::string::npos) {
-    throw std::invalid_argument(
-        "bad --checkpoint-fault: '" + text +
-        "' (expected enospc|eio|crash-byte|crash-commit[:BYTE]@EPOCH)");
-  }
-  epoch = parse_count(text.substr(at + 1), "--checkpoint-fault epoch");
-  std::string kind = text.substr(0, at);
-  std::uint64_t at_byte = 65536;
-  bool have_byte = false;
-  const std::size_t colon = kind.find(':');
-  if (colon != std::string::npos) {
-    at_byte = parse_u64(kind.substr(colon + 1), "--checkpoint-fault byte");
-    have_byte = true;
-    kind = kind.substr(0, colon);
-  }
-  store::FaultPlan plan;
-  plan.at_byte = at_byte;
-  if (kind == "enospc") {
-    plan.kind = store::FaultPlan::Kind::kNoSpace;
-  } else if (kind == "eio") {
-    plan.kind = store::FaultPlan::Kind::kIoError;
-  } else if (kind == "crash-byte") {
-    plan.kind = store::FaultPlan::Kind::kCrash;
-  } else if (kind == "crash-commit") {
-    plan.kind = store::FaultPlan::Kind::kCrash;
-    if (!have_byte) plan.at_byte = ~std::uint64_t{0};
-  } else {
-    throw std::invalid_argument("bad --checkpoint-fault kind: '" + kind +
-                                "'");
-  }
-  return plan;
+Verb sweep_verb() {
+  const auto a = std::make_shared<SweepArgs>();
+  sim::BagOfTasksConfig& base = a->sweep.base;
+  a->churn_policies = parse_names(joined(kChurnPolicies, ','), kChurnPolicies);
+  a->sweep.task_counts = {10000};
+  std::vector<Flag> flags = {
+      {"--policies", joined(kBasePolicies, ','),
+       "default: all four, or ect alone for a replicated run",
+       [a](auto& v) { a->sweep.policies = parse_names(v, kBasePolicies); }},
+      {"--threads", "N", "", into(a->sweep.threads, 1)},
+      {"--seed", "N", "", into(a->sweep.workload_seed, 0)},
+      {"--availability", "", "derate host rates by sampled availability",
+       switch_on(base.model_availability)},
+      {"--churn", "", "add the interval-walking churn ECT policies",
+       switch_on(a->churn)},
+      {"--interrupt", joined(kChurnPolicies, ','),
+       "the churn policies to add (default: all); implies --churn",
+       [a](auto& v) {
+         a->churn_policies = parse_names(v, kChurnPolicies);
+         a->churn = true;
+       }},
+      {"--churn-levels", "N",
+       "churn ECT lookahead depth, 1.." +
+           std::to_string(churn::kMaxLookaheadLevels) + "; implies --churn",
+       [a](auto& v) {
+         parse_number(a->sweep.base.churn_lookahead_levels, v, 1,
+                      churn::kMaxLookaheadLevels);
+         a->churn = true;
+       }},
+      {"--avail-coupling", "rho",
+       "rank-couples availability to host speed, rho in [-1, 1]",
+       [&base](auto& v) {
+         parse_number(base.availability_coupling.speed_rho, v, -1.0, 1.0);
+         base.availability_coupled = true;
+       }},
+      {"--backend", backend::backend_names(),
+       "kernel arm for the dynamic policies (results are bit-identical)",
+       [&base](auto& v) {
+         base.backend = or_expected(backend::parse_backend(v),
+                                    backend::backend_names());
+       }},
+      {"--replication", "k/n",
+       "issue n replicas per task, validate on a k-of-n digest quorum",
+       [&base](auto& v) { parse_replication(v, base.replication); }},
+      {"--deadline-days", "D",
+       "round r's re-issue window is D*B^r days (--backoff=B, --retries=N)",
+       [&base](auto& v) {
+         parse_number(base.replication.deadline_days, v, kPositive, kFinite);
+         base.replication.enabled = true;
+       }},
+      {"--backoff", "B", "", into(base.replication.backoff, kPositive),
+       "--deadline-days"},
+      {"--retries", "N", "", into(base.replication.max_retries, 0),
+       "--deadline-days"},
+      {"--fault-mix", "crash:p,straggler:p,corrupt:p",
+       "per-host fault injection fractions",
+       [&base](auto& v) { base.fault_mix = parse_fault_mix(v); }},
+  };
+  return {"sweep",
+          {"<model.txt> <YYYY-MM-DD> <hosts> [tasks[,tasks...]]"},
+          "policy x host-model x task-count grid (10000 tasks by default)",
+          std::move(flags),
+          [a](auto&... io) { return run_sweep(*a, io...); }};
 }
 
-int cmd_serve(const std::vector<std::string>& args, std::ostream& out,
-              std::ostream& err) {
-  engine::EngineConfig config;
-  config.collection.client.mean_contact_interval_days = 2.0;
-  bool have_clients = false;
-  bool have_days = false;
-  bool have_every = false;
-  double deadline_days = 0.0;
-  // Flags that shape the run (population, window, behaviour): all of
-  // them conflict with --resume, whose configuration comes from the
-  // checkpoint's run header.
-  std::vector<std::string> shape_flags;
+// --- serve -------------------------------------------------------------------
 
-  for (const std::string& arg : args) {
-    if (arg.starts_with("--clients=")) {
-      config.cohort_clients = parse_count(arg.substr(10), "--clients");
-      have_clients = true;
-      shape_flags.push_back("--clients");
-    } else if (arg.starts_with("--days=")) {
-      config.cohort_horizon_days =
-          parse_positive_double(arg.substr(7), "--days");
-      have_days = true;
-      shape_flags.push_back("--days");
-    } else if (arg.starts_with("--shards=")) {
-      // parse_count: zero and negative shard counts are usage errors.
-      config.shards = static_cast<std::uint32_t>(
-          std::min<std::size_t>(parse_count(arg.substr(9), "--shards"),
-                                0xffffffffu));
-      shape_flags.push_back("--shards");
-    } else if (arg.starts_with("--threads=")) {
-      config.threads =
-          static_cast<int>(parse_u64(arg.substr(10), "--threads"));
-    } else if (arg.starts_with("--seed=")) {
-      config.collection.population.seed = parse_u64(arg.substr(7), "--seed");
-      shape_flags.push_back("--seed");
-    } else if (arg.starts_with("--batch=")) {
-      config.batch_size = static_cast<std::uint32_t>(
-          std::min<std::size_t>(parse_count(arg.substr(8), "--batch"),
-                                0xffffffffu));
-      shape_flags.push_back("--batch");
-    } else if (arg.starts_with("--mean-contact-days=")) {
-      config.collection.client.mean_contact_interval_days =
-          parse_positive_double(arg.substr(20), "--mean-contact-days");
-      shape_flags.push_back("--mean-contact-days");
-    } else if (arg == "--availability") {
-      config.collection.client.model_availability = true;
-      shape_flags.push_back("--availability");
-    } else if (arg.starts_with("--fault-mix=")) {
-      config.collection.fault_mix = parse_fault_mix(arg.substr(12));
-      shape_flags.push_back("--fault-mix");
-    } else if (arg.starts_with("--replication=")) {
-      parse_replication(arg.substr(14), config.replication);
-      shape_flags.push_back("--replication");
-    } else if (arg.starts_with("--deadline-days=")) {
-      deadline_days =
-          parse_positive_double(arg.substr(16), "--deadline-days");
-      shape_flags.push_back("--deadline-days");
-    } else if (arg.starts_with("--checkpoint=")) {
-      config.checkpoint_path = arg.substr(13);
-      if (config.checkpoint_path.empty()) {
-        err << "serve: --checkpoint needs a path\n";
-        return kUsage;
-      }
-    } else if (arg.starts_with("--checkpoint-every-days=")) {
-      config.checkpoint_every_days = static_cast<std::uint32_t>(
-          std::min<std::size_t>(
-              parse_count(arg.substr(24), "--checkpoint-every-days"),
-              0xffffffffu));
-      have_every = true;
-    } else if (arg.starts_with("--resume=")) {
-      config.resume_path = arg.substr(9);
-      if (config.resume_path.empty()) {
-        err << "serve: --resume needs a path\n";
-        return kUsage;
-      }
-    } else if (arg.starts_with("--stop-after-day=")) {
-      config.stop_after_day = static_cast<std::int32_t>(
-          std::min<std::uint64_t>(
-              parse_u64(arg.substr(17), "--stop-after-day"), 0x7fffffffu));
-    } else if (arg.starts_with("--checkpoint-fault=")) {
-      config.checkpoint_fault = parse_checkpoint_fault(
-          arg.substr(19), config.checkpoint_fault_epoch);
-    } else {
-      err << "serve: unknown argument: '" << arg << "'\n";
-      return kUsage;
-    }
-  }
-  const bool resuming = !config.resume_path.empty();
-  if (resuming && !shape_flags.empty()) {
-    err << "serve: --resume takes the run's configuration from the "
-           "checkpoint header; remove";
-    for (const std::string& flag : shape_flags) err << ' ' << flag;
-    err << '\n';
-    return kUsage;
-  }
-  if (!resuming && (!have_clients || !have_days)) {
-    err << "serve: expected --clients=N --days=D [--shards=S] [--threads=T]"
-           " [--seed=N] [--batch=N] [--mean-contact-days=D]"
-           " [--availability] [--fault-mix=...] [--replication=k/n]"
-           " [--deadline-days=D] [--checkpoint=PATH]"
-           " [--checkpoint-every-days=D] [--stop-after-day=N]"
-           " [--checkpoint-fault=KIND@EPOCH] | --resume=PATH\n";
-    return kUsage;
-  }
-  if (have_every && config.checkpoint_path.empty()) {
-    err << "serve: --checkpoint-every-days needs --checkpoint=PATH\n";
-    return kUsage;
-  }
-  if (deadline_days > 0.0) {
-    if (!config.replication.enabled) {
-      err << "serve: --deadline-days needs --replication=k/n\n";
-      return kUsage;
-    }
-    config.replication.deadline_days = deadline_days;
-  }
+int run_serve(engine::EngineConfig& config, std::ostream& out) {
   if (config.collection.fault_mix.crash_fraction > 0.0 &&
       !config.collection.client.model_availability) {
-    err << "serve: --fault-mix=crash:p needs --availability (a crash loses "
-           "work only when an ON session ends)\n";
-    return kUsage;
+    // CollectionConfig::validate() refuses it too, without flag names.
+    throw UsageError(
+        "--fault-mix=crash:p needs --availability (a crash loses work only "
+        "when an ON session ends)");
   }
   // Surface config errors as usage problems before any work happens.
   try {
     config.validate();
     config.collection.validate();
   } catch (const std::invalid_argument& e) {
-    err << "serve: " << e.what() << '\n';
-    return kUsage;
+    throw UsageError(e.what());
   }
 
   // The provenance the deterministic header line prints: the config for
@@ -976,7 +788,7 @@ int cmd_serve(const std::vector<std::string>& args, std::ostream& out,
   double display_days = config.cohort_horizon_days;
   std::uint32_t display_shards = config.shards;
   bool with_replication = config.replication.enabled;
-  if (resuming) {
+  if (!config.resume_path.empty()) {
     const engine::CheckpointMeta meta =
         engine::read_checkpoint_meta(config.resume_path);
     display_days = meta.cohort_horizon_days;
@@ -1025,13 +837,11 @@ int cmd_serve(const std::vector<std::string>& args, std::ostream& out,
         << " duplicate=" << q.replicas_duplicate_host
         << " in_flight=" << q.replicas_in_flight << '\n';
     if (!q.conserves_tasks() || !q.conserves_replicas()) {
-      err << "serve: quorum accounting does not balance\n";
-      return kFailure;
+      throw std::runtime_error("quorum accounting does not balance");
     }
   }
   if (!result.conserves_units()) {
-    err << "serve: unit accounting does not balance\n";
-    return kFailure;
+    throw std::runtime_error("unit accounting does not balance");
   }
   // Batch count rides with timing: it depends on the shard split, not on
   // the simulated outcome, so it stays out of the deterministic block.
@@ -1041,7 +851,81 @@ int cmd_serve(const std::vector<std::string>& args, std::ostream& out,
   return kOk;
 }
 
-namespace {
+Verb serve_verb() {
+  const auto c = std::make_shared<engine::EngineConfig>();
+  engine::EngineConfig& config = *c;
+  config.collection.client.mean_contact_interval_days = 2.0;
+  // The run-shaping flags exclude --resume: a resumed run's configuration
+  // comes from the checkpoint's run header.
+  const std::string resume = "--resume";
+  std::vector<Flag> flags = {
+      {"--clients", "N", "", into(config.cohort_clients, 1), "", resume},
+      {"--days", "D", "", into(config.cohort_horizon_days, kPositive), "",
+       resume},
+      {"--shards", "S", "", into(config.shards, 1), "", resume},
+      {"--threads", "T", "0: one per hardware thread", into(config.threads, 0)},
+      {"--seed", "N", "", into(config.collection.population.seed, 0), "",
+       resume},
+      {"--batch", "N", "", into(config.batch_size, 1), "", resume},
+      {"--mean-contact-days", "D", "",
+       into(config.collection.client.mean_contact_interval_days, kPositive),
+       "", resume},
+      {"--availability", "", "",
+       switch_on(config.collection.client.model_availability), "", resume},
+      {"--fault-mix", "crash:p,straggler:p,corrupt:p",
+       "crash needs --availability: a crash fires when an ON session ends",
+       [&config](auto& v) { config.collection.fault_mix = parse_fault_mix(v); },
+       "", resume},
+      {"--replication", "k/n", "",
+       [&config](auto& v) { parse_replication(v, config.replication); }, "",
+       resume},
+      {"--deadline-days", "D", "",
+       into(config.replication.deadline_days, kPositive, kFinite),
+       "--replication", resume},
+      {"--checkpoint", "PATH",
+       "atomically publish the resumable engine state every D days",
+       into(config.checkpoint_path)},
+      {"--checkpoint-every-days", "D", "",
+       into(config.checkpoint_every_days, 1), "--checkpoint"},
+      {"--resume", "PATH",
+       "continue a checkpointed run bit-identically, as its header says",
+       into(config.resume_path)},
+      {"--stop-after-day", "N",
+       "halt cleanly after day N's barrier (a deterministic kill)",
+       into(config.stop_after_day, 0)},
+      {"--checkpoint-fault", "enospc|eio|crash-byte|crash-commit[:BYTE]@EPOCH",
+       "fail the EPOCH'th checkpoint write; the last one published survives",
+       [&config](auto& v) { parse_checkpoint_fault(v, config); },
+       "--checkpoint"},
+  };
+  return {"serve",
+          {"--clients=N --days=D", "--resume=PATH"},
+          "sharded service engine; only the 'timing:' line varies across runs",
+          std::move(flags),
+          [c](const Args&, std::ostream& out) { return run_serve(*c, out); }};
+}
+
+// --- backends and the store commands -----------------------------------------
+
+int run_backends(const Args&, std::ostream& out) {
+  // cpu_feature_string reflects effective_cpu(), i.e. detection AFTER the
+  // RESMODEL_SIMD cap — what dispatch actually sees, not raw CPUID.
+  out << "cpu features: " << backend::cpu_feature_string()
+      << " (RESMODEL_SIMD=off|avx2|avx512|native caps detection)\n";
+  util::Table table({"Requested", "Resolves to"});
+  for (const backend::Backend b :
+       {backend::Backend::kAuto, backend::Backend::kScalar,
+        backend::Backend::kBlocked, backend::Backend::kSimd}) {
+    const backend::ResolvedBackend rb = backend::resolve(b);
+    std::string resolved = backend::to_string(rb.arm);
+    if (rb.arm == backend::Backend::kSimd) {
+      resolved += " (" + backend::to_string(rb.simd) + ")";
+    }
+    table.add_row({backend::to_string(b), std::move(resolved)});
+  }
+  table.print(out);
+  return kOk;
+}
 
 std::string hex32(std::uint32_t v) {
   char buf[16];
@@ -1067,7 +951,7 @@ void print_digests(std::ostream& out,
 
 /// The generated-population CSV round-trip format: all six SoA columns,
 /// doubles printed with round-trip precision (unlike the analysis export
-/// cmd_generate writes, which drops memory_per_core_mb and uses default
+/// generate writes, which drops memory_per_core_mb and uses default
 /// precision).
 const std::vector<std::string> kPopulationCsvHeader = {
     "cores",          "memory_per_core_mb", "memory_mb",
@@ -1104,26 +988,21 @@ core::GeneratedHostBatch read_population_csv(const std::string& path) {
       throw std::runtime_error("population csv " + path + ":" +
                                std::to_string(line) + ": wrong field count");
     }
-    const auto bad = [&](const char* what, const std::string& s) {
-      return std::runtime_error("population csv " + path + ":" +
-                                std::to_string(line) + ": bad " + what +
-                                ": '" + s + "'");
+    const auto field = [&](auto& column, std::size_t i, auto lo) {
+      try {
+        parse_as(kPopulationCsvHeader[i], row[i],
+                 into(column.emplace_back(), lo));
+      } catch (const std::invalid_argument& e) {
+        throw std::runtime_error("population csv " + path + ":" +
+                                 std::to_string(line) + ": " + e.what());
+      }
     };
-    const auto num = [&](const std::string& s, const char* what) {
-      char* end = nullptr;
-      const double v = std::strtod(s.c_str(), &end);
-      if (end == s.c_str() || *end != '\0') throw bad(what, s);
-      return v;
-    };
-    char* end = nullptr;
-    const long long cores = std::strtoll(row[0].c_str(), &end, 10);
-    if (end == row[0].c_str() || *end != '\0') throw bad("cores", row[0]);
-    batch.n_cores.push_back(static_cast<int>(cores));
-    batch.memory_per_core_mb.push_back(num(row[1], "memory_per_core_mb"));
-    batch.memory_mb.push_back(num(row[2], "memory_mb"));
-    batch.whetstone_mips.push_back(num(row[3], "whetstone_mips"));
-    batch.dhrystone_mips.push_back(num(row[4], "dhrystone_mips"));
-    batch.disk_avail_gb.push_back(num(row[5], "disk_avail_gb"));
+    field(batch.n_cores, 0, 0);
+    field(batch.memory_per_core_mb, 1, -kMax<double>);
+    field(batch.memory_mb, 2, -kMax<double>);
+    field(batch.whetstone_mips, 3, -kMax<double>);
+    field(batch.dhrystone_mips, 4, -kMax<double>);
+    field(batch.disk_avail_gb, 5, -kMax<double>);
   }
   return batch;
 }
@@ -1192,147 +1071,112 @@ void print_read_report(std::ostream& out, const store::SnapshotReader& reader,
   }
 }
 
-}  // namespace
-
-int cmd_pack(const std::vector<std::string>& args, std::ostream& out,
-             std::ostream& err) {
+struct PackArgs {
   bool generate = false;
-  std::uint64_t shard = 0;
+  std::uint64_t shard = 0;  ///< rows per shard; 0: the default
   std::uint64_t seed = 0x7e57ab1e;
-  std::vector<std::string> positional;
-  for (const std::string& arg : args) {
-    if (arg == "--generate") {
-      generate = true;
-    } else if (arg.starts_with("--shard=")) {
-      // parse_count (not parse_u64): --shard=0 used to silently mean
-      // "auto"; an explicit zero or negative row count is now rejected.
-      shard = parse_count(arg.substr(8), "--shard");
-    } else if (arg.starts_with("--seed=")) {
-      seed = parse_u64(arg.substr(7), "--seed");
-    } else if (arg.starts_with("--")) {
-      err << "pack: unknown flag: '" << arg << "'\n";
-      return kUsage;
-    } else {
-      positional.push_back(arg);
-    }
-  }
+};
 
-  if (generate) {
-    if (positional.size() != 4) {
-      err << "pack: expected --generate <model.txt> <YYYY-MM-DD> <count> "
-             "<out.snap> [--shard=N] [--seed=N]\n";
-      return kUsage;
-    }
-    const core::ModelParams params = load_model(positional[0]);
-    const util::ModelDate date = util::ModelDate::parse(positional[1]);
-    const std::uint64_t count = parse_count(positional[2], "count");
-    const std::string& out_path = positional[3];
-    if (shard == 0) shard = 1u << 20;  // 1 Mi hosts/shard bounds RSS
+int run_pack(PackArgs& a, const Args& pos, std::ostream& out) {
+  if (a.generate) {
+    const core::ModelParams params = load_model(pos[0]);
+    const util::ModelDate date = util::ModelDate::parse(pos[1]);
+    std::uint64_t count = 0;
+    parse_as("count", pos[2], into(count, 1));
+    const std::string& out_path = pos[3];
+    if (a.shard == 0) a.shard = 1u << 20;  // 1 Mi hosts/shard bounds RSS
     const core::HostGenerator generator(params);
 
     store::SnapshotWriter writer(out_path, store::kPopulationKind,
                                  store::population_schema());
     std::uint64_t written = 0;
     for (std::uint64_t s = 0; written < count; ++s) {
-      const std::uint64_t n = std::min<std::uint64_t>(shard, count - written);
+      const std::uint64_t n = std::min<std::uint64_t>(a.shard, count - written);
       const core::GeneratedHostBatch batch = generator.generate_batch_parallel(
-          date, static_cast<std::size_t>(n), shard_seed(seed, s));
+          date, static_cast<std::size_t>(n), shard_seed(a.seed, s));
       store::append_population_shard(writer, batch);
       written += n;
     }
     writer.finish({{"source", "generated"},
-                   {"model", positional[0]},
+                   {"model", pos[0]},
                    {"date", date.to_string()},
-                   {"seed", std::to_string(seed)},
-                   {"shard_rows", std::to_string(shard)}});
+                   {"seed", std::to_string(a.seed)},
+                   {"shard_rows", std::to_string(a.shard)}});
     out << "packed " << writer.rows_written() << " generated hosts in "
         << writer.shards_written() << " shard(s) -> " << out_path << '\n';
     print_digests(out, writer.schema(), writer.column_digests());
     return kOk;
   }
 
-  if (positional.size() != 2) {
-    err << "pack: expected <in.csv> <out.snap> [--shard=N], or --generate "
-           "<model.txt> <YYYY-MM-DD> <count> <out.snap>\n";
-    return kUsage;
-  }
-  const std::string& in_path = positional[0];
-  const std::string& out_path = positional[1];
+  const std::string& in_path = pos[0];
+  const std::string& out_path = pos[1];
   const CsvKind kind = detect_csv_kind(in_path);
   if (kind == CsvKind::kUnknown) {
-    err << "pack: " << in_path
-        << " is neither a trace nor a population csv (unrecognized "
-           "header)\n";
-    return kFailure;
+    throw std::runtime_error(in_path +
+                             " is neither a trace nor a population csv "
+                             "(unrecognized header)");
   }
 
+  // Either csv packs `step` rows per shard, every row in one by default.
+  const auto pack = [&](const char* what, const char* snapshot_kind,
+                        const auto& schema, std::size_t rows,
+                        const auto& append) {
+    store::SnapshotWriter writer(out_path, snapshot_kind, schema);
+    const std::size_t step = a.shard == 0 ? std::max<std::size_t>(1, rows)
+                                          : a.shard;
+    for (std::size_t at = 0; at < rows; at += step) {
+      append(writer, at, std::min(step, rows - at));
+    }
+    writer.finish({{"source", in_path}});
+    out << "packed " << writer.rows_written() << ' ' << what << " hosts in "
+        << writer.shards_written() << " shard(s) -> " << out_path << '\n';
+    print_digests(out, writer.schema(), writer.column_digests());
+  };
   if (kind == CsvKind::kTrace) {
     const trace::TraceStore store = trace::read_csv_file(in_path);
-    store::SnapshotWriter writer(out_path, store::kTraceKind,
-                                 store::trace_schema());
-    const std::span<const trace::HostRecord> hosts = store.hosts();
-    const std::uint64_t step = shard == 0 ? std::max<std::uint64_t>(
-                                                1, hosts.size())
-                                          : shard;
-    for (std::uint64_t at = 0; at < hosts.size(); at += step) {
-      const std::uint64_t n = std::min<std::uint64_t>(step, hosts.size() - at);
-      store::append_trace_shard(
-          writer, hosts.subspan(static_cast<std::size_t>(at),
-                                static_cast<std::size_t>(n)));
-    }
-    writer.finish({{"source", in_path}});
-    out << "packed " << writer.rows_written() << " trace hosts in "
-        << writer.shards_written() << " shard(s) -> " << out_path << '\n';
-    print_digests(out, writer.schema(), writer.column_digests());
+    pack("trace", store::kTraceKind, store::trace_schema(), store.size(),
+         [&](auto& writer, std::size_t at, std::size_t n) {
+           store::append_trace_shard(writer, store.hosts().subspan(at, n));
+         });
   } else {
     const core::GeneratedHostBatch batch = read_population_csv(in_path);
-    store::SnapshotWriter writer(out_path, store::kPopulationKind,
-                                 store::population_schema());
-    const std::uint64_t step =
-        shard == 0 ? std::max<std::uint64_t>(1, batch.size()) : shard;
-    for (std::uint64_t at = 0; at < batch.size(); at += step) {
-      const std::uint64_t n = std::min<std::uint64_t>(step, batch.size() - at);
-      store::append_population_shard(
-          writer, population_slice(batch, static_cast<std::size_t>(at),
-                                   static_cast<std::size_t>(n)));
-    }
-    writer.finish({{"source", in_path}});
-    out << "packed " << writer.rows_written() << " population hosts in "
-        << writer.shards_written() << " shard(s) -> " << out_path << '\n';
-    print_digests(out, writer.schema(), writer.column_digests());
+    pack("population", store::kPopulationKind, store::population_schema(),
+         batch.size(), [&](auto& writer, std::size_t at, std::size_t n) {
+           store::append_population_shard(writer,
+                                          population_slice(batch, at, n));
+         });
   }
   return kOk;
 }
 
-int cmd_unpack(const std::vector<std::string>& args, std::ostream& out,
-               std::ostream& err) {
+Verb pack_verb() {
+  const auto a = std::make_shared<PackArgs>();
+  return {"pack",
+          {"<in.csv> <out.snap>",
+           "--generate <model.txt> <YYYY-MM-DD> <count> <out.snap>"},
+          "csv (trace or population) -> checksummed columnar snapshot",
+          {
+              {"--generate", "",
+               "synthesize straight to the snapshot in bounded memory",
+               switch_on(a->generate)},
+              {"--shard", "N",
+               "rows per shard (default: all; 1048576 generated)",
+               into(a->shard, 1)},
+              {"--seed", "N", "", into(a->seed, 0), "--generate"},
+          },
+          [a](auto&... io) { return run_pack(*a, io...); }};
+}
+
+struct UnpackArgs {
   bool digest_only = false;
   bool recover = false;
-  std::vector<std::string> positional;
-  for (const std::string& arg : args) {
-    if (arg == "--digest-only") {
-      digest_only = true;
-    } else if (arg == "--recover") {
-      recover = true;
-    } else if (arg.starts_with("--")) {
-      err << "unpack: unknown flag: '" << arg << "'\n";
-      return kUsage;
-    } else {
-      positional.push_back(arg);
-    }
-  }
-  if (positional.empty() || positional.size() > 2 ||
-      (digest_only && positional.size() != 1)) {
-    err << "unpack: expected <in.snap> [out.csv] [--digest-only] "
-           "[--recover]\n";
-    return kUsage;
-  }
-  const std::string& in_path = positional[0];
+};
 
-  store::SnapshotReader reader(in_path);
+int run_unpack(const UnpackArgs& a, const Args& pos, std::ostream& out) {
+  store::SnapshotReader reader(pos[0]);
   out << "kind: " << reader.kind() << '\n';
 
-  if (digest_only) {
+  if (a.digest_only) {
     // Checksum walk without materializing columns — the bounded-RSS
     // bit-identity check against pack's digest lines.
     const store::SnapshotReader::VerifyResult v = reader.verify();
@@ -1345,30 +1189,23 @@ int cmd_unpack(const std::vector<std::string>& args, std::ostream& out,
     return v.report.complete ? kOk : kFailure;
   }
 
-  store::Snapshot snapshot;
   store::ReadReport report;
-  if (recover) {
-    snapshot = reader.read_recovering(report);
-    print_read_report(out, reader, report);
-  } else {
-    snapshot = reader.read_all();
-    report.blocks_expected = report.blocks_loaded = 0;
-  }
+  const store::Snapshot snapshot =
+      a.recover ? reader.read_recovering(report) : reader.read_all();
+  if (a.recover) print_read_report(out, reader, report);
   out << "rows: " << snapshot.rows << '\n';
 
   // Digests over what was actually materialized (zero-filled holes
   // digest as zero-filled — the report above itemizes them).
-  {
-    std::vector<std::uint32_t> digests(snapshot.columns.size(), 0);
-    for (std::size_t i = 0; i < snapshot.columns.size(); ++i) {
-      digests[i] = util::crc32c(snapshot.columns[i].data.data(),
-                                snapshot.columns[i].data.size());
-    }
-    print_digests(out, reader.schema(), digests);
+  std::vector<std::uint32_t> digests(snapshot.columns.size(), 0);
+  for (std::size_t i = 0; i < snapshot.columns.size(); ++i) {
+    digests[i] = util::crc32c(snapshot.columns[i].data.data(),
+                              snapshot.columns[i].data.size());
   }
+  print_digests(out, reader.schema(), digests);
 
-  if (positional.size() == 2) {
-    const std::string& csv_path = positional[1];
+  if (pos.size() == 2) {
+    const std::string& csv_path = pos[1];
     if (snapshot.kind == store::kTraceKind) {
       trace::write_csv_file(store::unpack_trace(snapshot), csv_path);
     } else if (snapshot.kind == store::kPopulationKind) {
@@ -1382,33 +1219,32 @@ int cmd_unpack(const std::vector<std::string>& args, std::ostream& out,
       writer.write_row(kPopulationCsvHeader);
       write_population_rows(batch, writer);
     } else {
-      err << "unpack: unknown snapshot kind '" << snapshot.kind << "'\n";
-      return kFailure;
+      throw std::runtime_error("unknown snapshot kind '" + snapshot.kind +
+                               "'");
     }
     out << "unpacked " << snapshot.rows << " rows -> " << csv_path << '\n';
   }
-  return recover && !report.complete ? kFailure : kOk;
+  return a.recover && !report.complete ? kFailure : kOk;
 }
 
-int cmd_verify(const std::vector<std::string>& args, std::ostream& out,
-               std::ostream& err) {
-  bool digests = false;
-  std::vector<std::string> positional;
-  for (const std::string& arg : args) {
-    if (arg == "--digests") {
-      digests = true;
-    } else if (arg.starts_with("--")) {
-      err << "verify: unknown flag: '" << arg << "'\n";
-      return kUsage;
-    } else {
-      positional.push_back(arg);
-    }
-  }
-  if (positional.size() != 1) {
-    err << "verify: expected <in.snap> [--digests]\n";
-    return kUsage;
-  }
-  store::SnapshotReader reader(positional[0]);
+Verb unpack_verb() {
+  const auto a = std::make_shared<UnpackArgs>();
+  return {"unpack",
+          {"<in.snap> [out.csv]", "--digest-only <in.snap>"},
+          "snapshot -> digest lines and, given out.csv, the csv",
+          {
+              {"--digest-only", "",
+               "checksum walk and digest lines only, no columns loaded",
+               switch_on(a->digest_only)},
+              {"--recover", "",
+               "load what is intact, zero-fill and itemize damaged blocks",
+               switch_on(a->recover), "", "--digest-only"},
+          },
+          [a](auto&... io) { return run_unpack(*a, io...); }};
+}
+
+int run_verify(bool digests, const Args& pos, std::ostream& out) {
+  store::SnapshotReader reader(pos[0]);
   const store::SnapshotReader::VerifyResult v = reader.verify();
   out << "kind: " << reader.kind() << '\n';
   if (reader.footer_intact()) {
@@ -1425,9 +1261,62 @@ int cmd_verify(const std::vector<std::string>& args, std::ostream& out,
     out << "verify: OK\n";
     return kOk;
   }
-  err << "verify: DAMAGED (" << v.report.lost.size() << " lost block(s), "
-      << v.report.rows_lost << " rows lost)\n";
-  return kFailure;
+  throw std::runtime_error("DAMAGED (" + std::to_string(v.report.lost.size()) +
+                           " lost block(s), " +
+                           std::to_string(v.report.rows_lost) + " rows lost)");
+}
+
+Verb verify_verb() {
+  const auto digests = std::make_shared<bool>(false);
+  return {"verify",
+          {"<in.snap>"},
+          "checksum walk: exit 0 = every block intact, else the damage",
+          {{"--digests", "", "also print the column digest lines",
+            switch_on(*digests)}},
+          [digests](auto&... io) { return run_verify(*digests, io...); }};
+}
+
+/// Every verb, in usage order, each with fresh flag state.
+std::vector<Verb> verbs() {
+  return {
+      {"synth", {"<out.csv> [active] [seed]"},
+       "synthesize a ground-truth trace (4000 active hosts by default)", {},
+       run_synth},
+      {"collect", {"<out.csv> [active] [seed]"},
+       "run the BOINC-style collection (1000 active hosts by default)", {},
+       run_collect},
+      {"fit", {"<trace.csv> <model.txt>"}, "fit the correlated model", {},
+       run_fit},
+      correlation_verb("generate", "<model.txt> <YYYY-MM-DD> <count> <out.csv>",
+                       "synthesize hosts from the model",
+                       "fit data for --correlation=empirical", run_generate),
+      {"predict", {"<model.txt> <year>"},
+       "the model's predicted host composition for a year", {}, run_predict},
+      correlation_verb("validate", "<model.txt> <trace.csv> <YYYY-MM-DD>",
+                       "compare generated hosts with the trace's active hosts",
+                       "empirical fit source (default: the validated trace)",
+                       run_validate),
+      sweep_verb(),
+      serve_verb(),
+      {"backends", {""},
+       "print CPU SIMD features and what each requested backend resolves to",
+       {}, run_backends},
+      pack_verb(),
+      unpack_verb(),
+      verify_verb(),
+  };
+}
+
+}  // namespace
+
+std::string usage_text() {
+  std::string text =
+      "resmodel — correlated Internet end-host resource models "
+      "(ICDCS'11 reproduction)\n"
+      "usage:\n"
+      "  resmodel help | --help | <command> --help   print this text\n";
+  for (const Verb& verb : verbs()) text += usage_block(verb);
+  return text;
 }
 
 int run_cli(const std::vector<std::string>& args, std::ostream& out,
@@ -1437,32 +1326,23 @@ int run_cli(const std::vector<std::string>& args, std::ostream& out,
     return kUsage;
   }
   const std::string& command = args.front();
-  const std::vector<std::string> rest(args.begin() + 1, args.end());
-  using Command = int (*)(const std::vector<std::string>&, std::ostream&,
-                          std::ostream&);
-  static const std::map<std::string, Command> kCommands = {
-      {"synth", cmd_synth},       {"collect", cmd_collect},
-      {"fit", cmd_fit},           {"generate", cmd_generate},
-      {"predict", cmd_predict},   {"validate", cmd_validate},
-      {"sweep", cmd_sweep},       {"serve", cmd_serve},
-      {"backends", cmd_backends}, {"pack", cmd_pack},
-      {"unpack", cmd_unpack},     {"verify", cmd_verify},
-  };
-  const auto it = kCommands.find(command);
-  const bool help_asked =
-      command == "help" || command == "--help" ||
-      (it != kCommands.end() &&
-       std::find(rest.begin(), rest.end(), "--help") != rest.end());
-  if (help_asked) {
+  const Args rest(args.begin() + 1, args.end());
+  const std::vector<Verb> all = verbs();
+  const auto verb = std::ranges::find(all, command, &Verb::name);
+  if (command == "help" || command == "--help" ||
+      (verb != all.end() && std::ranges::count(rest, "--help") > 0)) {
     out << usage_text();
     return kOk;
   }
-  if (it == kCommands.end()) {
+  if (verb == all.end()) {
     err << "unknown command '" << command << "'\n" << usage_text();
     return kUsage;
   }
   try {
-    return it->second(rest, out, err);
+    return verb->run(parse_args(*verb, rest), out);
+  } catch (const UsageError& e) {
+    err << command << ": " << e.what() << "\nusage:\n" << usage_block(*verb);
+    return kUsage;
   } catch (const std::exception& e) {
     err << command << ": " << e.what() << '\n';
     return kFailure;

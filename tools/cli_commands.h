@@ -3,26 +3,12 @@
 // parsed arguments and an output stream so the whole surface is unit
 // testable; main() only dispatches.
 //
-// Commands:
-//   help | --help | <command> --help       usage text on stdout, exit 0
-//   synth <out.csv> [active] [seed]        generate a ground-truth trace
-//   collect <out.csv> [active] [seed]      run the BOINC-style collection
-//   fit <trace.csv> <model.txt>            fit the correlated model
-//   generate <model.txt> <date> <n> <out.csv>   synthesize hosts
-//   predict <model.txt> <year>             predicted composition
-//   validate <model.txt> <trace.csv> <date>     generated-vs-actual check
-//   sweep <model.txt> <date> <hosts> [tasks]    parallel policy sweep
-//   serve --clients=N --days=D [...]       sharded virtual-time service
-//                                          engine over an N-client cohort
-//                                          (src/engine/); deterministic
-//                                          counters + one timing line
-//   backends                               CPU SIMD features + dispatch
-//   pack <in.csv> <out.snap>               CSV -> columnar snapshot
-//   pack --generate <model.txt> <date> <n> <out.snap>   synthesize direct
-//                                          to a sharded snapshot (bounded
-//                                          RSS at any population size)
-//   unpack <in.snap> [out.csv]             snapshot -> CSV / digest check
-//   verify <in.snap>                       checksum walk + damage report
+// usage_text() (`resmodel --help`) is the command list. It is generated
+// from the one declaration each verb has in cli_commands.cpp: the verb's
+// positional forms, a note and a table of its flags. The same table
+// parses the flags, checks which flags need or exclude which, and names
+// the flag in every error, so the usage text and the parser cannot
+// disagree.
 //
 // pack/unpack both print per-column CRC32C digest lines; diffing them is
 // the bit-identity proof for a round trip (see src/store/README.md).
@@ -34,10 +20,6 @@
 // command. Its --backend= flag selects the kernel-dispatch arm
 // (src/backend/); backends prints what the current CPU (and the
 // RESMODEL_SIMD mask) lets each request resolve to.
-//
-// generate and validate accept --correlation=cholesky|independent|empirical
-// to swap the dependence structure (src/model/); empirical generation also
-// needs --trace=<trace.csv> to fit the rank copula from.
 #pragma once
 
 #include <iosfwd>
@@ -52,38 +34,14 @@ inline constexpr int kUsage = 1;
 inline constexpr int kFailure = 2;
 
 /// Dispatches `args` (excluding argv[0]). Writes human output to `out`
-/// and problems to `err`.
+/// and problems to `err`. An unknown flag, a wrong positional count or a
+/// broken flag relation is kUsage; a bad value ("bad --flag: ...") or a
+/// failed run is kFailure.
 int run_cli(const std::vector<std::string>& args, std::ostream& out,
             std::ostream& err);
 
-/// Individual commands (exposed for tests).
-int cmd_synth(const std::vector<std::string>& args, std::ostream& out,
-              std::ostream& err);
-int cmd_collect(const std::vector<std::string>& args, std::ostream& out,
-                std::ostream& err);
-int cmd_fit(const std::vector<std::string>& args, std::ostream& out,
-            std::ostream& err);
-int cmd_generate(const std::vector<std::string>& args, std::ostream& out,
-                 std::ostream& err);
-int cmd_predict(const std::vector<std::string>& args, std::ostream& out,
-                std::ostream& err);
-int cmd_validate(const std::vector<std::string>& args, std::ostream& out,
-                 std::ostream& err);
-int cmd_sweep(const std::vector<std::string>& args, std::ostream& out,
-              std::ostream& err);
-int cmd_serve(const std::vector<std::string>& args, std::ostream& out,
-              std::ostream& err);
-int cmd_backends(const std::vector<std::string>& args, std::ostream& out,
-                 std::ostream& err);
-int cmd_pack(const std::vector<std::string>& args, std::ostream& out,
-             std::ostream& err);
-int cmd_unpack(const std::vector<std::string>& args, std::ostream& out,
-               std::ostream& err);
-int cmd_verify(const std::vector<std::string>& args, std::ostream& out,
-               std::ostream& err);
-
-/// The usage text: printed to stdout on request (help), to stderr on bad
-/// invocations.
+/// The usage text: printed to stdout on request (help, --help, or
+/// `<command> --help`), to stderr on a missing or unknown command.
 std::string usage_text();
 
 }  // namespace resmodel::cli
