@@ -150,8 +150,10 @@ class ChurnScheduler {
   /// fresh `state` and COPIES the seed's cursor columns instead of
   /// re-deriving them host by host (one binary search each). `state`
   /// must have the same host count and the same free_at column as the
-  /// state `seed` was constructed over — sim::run_policy_sweep uses this
-  /// to share one cursor derivation across all cells of a population.
+  /// state `seed` was constructed over; its rates may differ, since the
+  /// cursors read only free_at and the timeline. sim::run_policy_sweep
+  /// uses this to share one cursor derivation across every cell, of any
+  /// population, on one availability realization.
   ChurnScheduler(sim::ScheduleState& state, const ChurnScheduler& seed);
 
   /// Blocked, pruned fast path (kAbandon re-queues interrupted attempts

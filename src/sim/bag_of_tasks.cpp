@@ -555,74 +555,99 @@ PolicySweepResult run_policy_sweep(std::span<const SweepPopulation> populations,
       populations.size() * result.policy_count * result.task_count_count;
   result.cells.resize(cell_count);
 
-  // Every cell of one population reseeds Rng(workload_seed) and would
-  // re-derive identical warm state — the rate vector (including the
-  // expensive per-host availability histories), the rate-sorted ect_*
-  // caches, and the churn cursor columns (one timeline binary search per
-  // host) — so all of it is computed once per population here: built
-  // ScheduleStates that cells COPY (column memcpy instead of re-sort /
-  // re-derate), the interval timeline drawn from the very same forks,
-  // a ChurnScheduler whose cursor columns seed each churn cell, and the
-  // rng state each cell's task sampling resumes from. A cell stays
-  // bit-identical to a standalone
-  // run_bag_of_tasks(hosts, config, policy, Rng(workload_seed)): derate
-  // cells resume from the flag-dependent stream, churn cells from the
-  // post-realization stream (the two coincide when model_availability is
-  // set, because both paths consume the identical realization), and the
-  // copied caches/cursors hold exactly the values a fresh derivation
-  // produces.
+  // Every cell reseeds Rng(workload_seed) and would re-derive identical
+  // warm state, so each distinct piece is derived once here and cells
+  // COPY it (column memcpy instead of a re-draw, re-sort or re-search).
+  // A copied piece holds exactly the values a fresh derivation produces,
+  // so a cell stays bit-identical to a standalone
+  // run_bag_of_tasks(hosts, config, policy, Rng(workload_seed)):
+  //  - An availability draw (timeline, fractions, and the stream after
+  //    it) reads the seed stream and, uncoupled, nothing of the hosts
+  //    but their count (realize_availability passes only speed.size() to
+  //    the timeline). Uncoupled populations of equal size therefore
+  //    share one draw; coupled ones rank parameters by speed and draw
+  //    their own.
+  //  - The churn cursor columns read only the timeline and a fresh
+  //    state's all-zero free_at, so one cursor seed per draw serves every
+  //    population on it.
+  //  - The ScheduleState (rates plus rate-sorted ect_* caches) is per
+  //    population. Derate cells read rates derated iff
+  //    model_availability; churn cells read the full rates, which need a
+  //    second state only when model_availability derates the first.
+  // Cells resume their task sampling from the post-draw stream when they
+  // consumed the draw (churn and replicated cells, or derate cells under
+  // model_availability) and from the untouched seed stream otherwise.
   bool any_ect = any_churn;
   for (const SchedulingPolicy policy : config.policies) {
     if (policy == SchedulingPolicy::kDynamicEct) any_ect = true;
   }
-  struct SharedState {
-    ScheduleState state_flagged;  ///< rates derated iff model_availability
-    ScheduleState state_base;     ///< full rates (churn cells); any_churn only
-    util::Rng rng_after_flagged;
+  const bool any_draw = config.draws_availability();
+  const bool coupled = config.base.availability_coupled;
+  const bool derate = config.base.model_availability;
+  struct Draw {
+    std::size_t host_count = 0;
+    /// Held only when a churn or replicated cell walks it.
     std::shared_ptr<const churn::IntervalTimeline> timeline;
-    util::Rng rng_after_avail;
-    std::optional<churn::ChurnScheduler> cursor_seed;  ///< over state_base
+    std::vector<double> fractions;  ///< model_availability only
+    util::Rng rng_after;
+    std::optional<churn::ChurnScheduler> cursor_seed;  ///< any_churn only
   };
-  std::vector<SharedState> shared(populations.size());
+  struct PopulationState {
+    ScheduleState state;  ///< rates derated iff model_availability
+    std::optional<ScheduleState> full;  ///< underated; derate && any_churn
+    std::size_t draw = 0;               ///< index into `realized`
+    const ScheduleState& churn_state() const { return full ? *full : state; }
+  };
+  // Sized up front: a cursor seed keeps a reference to the population
+  // state it was derived over, and a draw is never moved once seeded.
+  std::vector<PopulationState> shared(populations.size());
+  std::vector<Draw> realized;
+  realized.reserve(populations.size());
   for (std::size_t p = 0; p < populations.size(); ++p) {
-    SharedState& pop = shared[p];
-    util::Rng rng(config.workload_seed);
-    std::vector<double> base_rates = base_host_rates(populations[p].hosts);
-    std::vector<double> flagged_rates;
-    if (config.draws_availability()) {
-      util::Rng avail_rng = rng;
-      const AvailabilityRealization real =
-          realize_availability(base_rates, config.base, avail_rng);
-      flagged_rates = base_rates;
-      if (config.base.model_availability) {
-        for (std::size_t h = 0; h < flagged_rates.size(); ++h) {
-          flagged_rates[h] *= std::max(0.01, real.fractions[h]);
-        }
-        rng = avail_rng;
+    PopulationState& pop = shared[p];
+    std::vector<double> rates = base_host_rates(populations[p].hosts);
+    Draw* draw = nullptr;
+    if (any_draw) {
+      const auto reusable =
+          coupled ? realized.end()
+                  : std::ranges::find(realized, rates.size(),
+                                      &Draw::host_count);
+      pop.draw = static_cast<std::size_t>(reusable - realized.begin());
+      if (reusable == realized.end()) {
+        Draw& fresh = realized.emplace_back();
+        fresh.host_count = rates.size();
+        fresh.rng_after = util::Rng(config.workload_seed);
+        AvailabilityRealization real =
+            realize_availability(rates, config.base, fresh.rng_after);
+        if (any_churn || replicated) fresh.timeline = std::move(real.timeline);
+        if (derate) fresh.fractions = std::move(real.fractions);
       }
-      // Replicated kDynamicEct cells consult the timeline too (crash
-      // model), not just the churn cells.
-      if (any_churn || replicated) pop.timeline = real.timeline;
-      pop.rng_after_avail = avail_rng;
-    } else {
-      flagged_rates = base_rates;
+      draw = &realized[pop.draw];
     }
-    pop.rng_after_flagged = rng;
-    if (any_churn) {
-      pop.state_base = ScheduleState::from_rates(std::move(base_rates));
-      pop.state_base.ensure_ect_caches();
+    if (derate) {
+      if (any_churn) {
+        pop.full = ScheduleState::from_rates(rates);
+        pop.full->ensure_ect_caches();
+      }
+      for (std::size_t h = 0; h < rates.size(); ++h) {
+        rates[h] *= std::max(0.01, draw->fractions[h]);
+      }
+    }
+    pop.state = ScheduleState::from_rates(std::move(rates));
+    if (any_ect) pop.state.ensure_ect_caches();
+    if (any_churn && !draw->cursor_seed) {
       churn::ChurnSchedulerConfig seed_config;
       seed_config.lookahead_levels = config.base.churn_lookahead_levels;
       seed_config.backend = config.base.backend;
-      pop.cursor_seed.emplace(pop.state_base, *pop.timeline, seed_config);
+      draw->cursor_seed.emplace(pop.full ? *pop.full : pop.state,
+                                *draw->timeline, seed_config);
     }
-    pop.state_flagged = ScheduleState::from_rates(std::move(flagged_rates));
-    if (any_ect) pop.state_flagged.ensure_ect_caches();
   }
+  result.availability_draws = realized.size();
 
   // Independent, deterministically seeded cells claimed off the shared
   // worker pool. Any thread may run any cell; none of them shares mutable
-  // state (the shared states and cursor seeds are read-only after the
+  // state (the states, draws and cursor seeds are read-only after the
   // loop above), so the grid is thread-count invariant.
   util::parallel_for(cell_count, config.threads, [&](std::size_t c) {
     PolicySweepCell& cell = result.cells[c];
@@ -632,20 +657,20 @@ PolicySweepResult run_policy_sweep(std::span<const SweepPopulation> populations,
     BagOfTasksConfig cell_config = config.base;
     cell_config.task_count = config.task_counts[cell.task_count];
     const SchedulingPolicy policy = config.policies[cell.policy];
-    const SharedState& pop_state = shared[cell.population];
+    const PopulationState& pop = shared[cell.population];
     const bool churn_cell = is_churn_policy(policy);
-    // Replicated cells (churn or not) resume from the post-realization
-    // stream, exactly like a standalone replicated run; when
-    // model_availability is set the two resume points coincide.
+    // Replicated cells (churn or not) walk the timeline for the crash
+    // model, exactly like a standalone replicated run.
     const bool timeline_cell = churn_cell || replicated;
-    util::Rng cell_rng = timeline_cell ? pop_state.rng_after_avail
-                                       : pop_state.rng_after_flagged;
+    const Draw* draw =
+        timeline_cell || derate ? &realized[pop.draw] : nullptr;
+    util::Rng cell_rng =
+        draw != nullptr ? draw->rng_after : util::Rng(config.workload_seed);
     cell.result = run_with_state(
-        ScheduleState(churn_cell ? pop_state.state_base
-                                 : pop_state.state_flagged),
-        timeline_cell ? pop_state.timeline.get() : nullptr, cell_config,
-        policy, cell_rng, /*reference_dynamics=*/false,
-        churn_cell ? &*pop_state.cursor_seed : nullptr);
+        ScheduleState(churn_cell ? pop.churn_state() : pop.state),
+        timeline_cell ? draw->timeline.get() : nullptr, cell_config, policy,
+        cell_rng, /*reference_dynamics=*/false,
+        churn_cell ? &*draw->cursor_seed : nullptr);
   });
   return result;
 }

@@ -298,6 +298,10 @@ struct PolicySweepResult {
   std::size_t policy_count = 0;
   std::size_t task_count_count = 0;
   std::vector<PolicySweepCell> cells;
+  /// Availability realizations the sweep drew (see run_policy_sweep):
+  /// the distinct host counts when uncoupled, one per population when
+  /// coupled, 0 when no cell consumes one. Deterministic.
+  std::size_t availability_draws = 0;
 
   const PolicySweepCell& at(std::size_t population, std::size_t policy,
                             std::size_t task_count) const {
@@ -310,9 +314,20 @@ struct PolicySweepResult {
 /// util::parallel_for (the calling thread is worker zero; a throwing cell
 /// rethrows on the caller). Cells are independent
 /// and deterministically seeded, so the result is identical for any
-/// thread count. Throws std::invalid_argument on an empty grid axis, an
-/// empty population, a degenerate base config, or a coupled availability
-/// that no cell draws (see PolicySweepConfig::draws_availability).
+/// thread count, and each cell equals its standalone
+/// run_bag_of_tasks(hosts, base with the cell's task count, policy,
+/// Rng(workload_seed)) bit for bit.
+///
+/// Warm state is derived once per distinct input before any cell runs,
+/// and cells copy it. An uncoupled availability draw reads only the host
+/// count and the seed stream, so populations of equal size share one
+/// realization (timeline, fractions, post-draw stream) and one churn
+/// cursor seed; coupled draws rank parameters by host speed and stay per
+/// population. Each population keeps one ScheduleState, plus an underated
+/// one for its churn cells when model_availability derates the first.
+/// Throws std::invalid_argument on an empty grid axis, an empty
+/// population, a degenerate base config, or a coupled availability that
+/// no cell draws (see PolicySweepConfig::draws_availability).
 PolicySweepResult run_policy_sweep(std::span<const SweepPopulation> populations,
                                    const PolicySweepConfig& config);
 

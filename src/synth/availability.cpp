@@ -1,5 +1,7 @@
 #include "synth/availability.h"
 
+#include <math.h>
+
 #include <cmath>
 #include <stdexcept>
 
@@ -24,9 +26,13 @@ AvailabilityModel::AvailabilityModel(AvailabilityParams params)
 }
 
 double AvailabilityModel::expected_availability() const noexcept {
+  // The reentrant lgamma_r: the stationary timeline fill calls this from
+  // worker threads, and lgamma writes the global signgam. Both compute
+  // through the same glibc kernel, so the value is unchanged.
+  int sign = 0;
   const double mean_on =
       params_.on_weibull_lambda *
-      std::exp(std::lgamma(1.0 + 1.0 / params_.on_weibull_k));
+      std::exp(::lgamma_r(1.0 + 1.0 / params_.on_weibull_k, &sign));
   const double mean_off =
       std::exp(params_.off_lognormal_mu +
                params_.off_lognormal_sigma * params_.off_lognormal_sigma / 2.0);

@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include "churn/block_envelope.h"
 #include "core/host_generator.h"
@@ -435,6 +437,139 @@ TEST(PolicySweep, ChurnLevelsKnobCellsMatchStandaloneRuns) {
                                              sweep.policies[pol], rng);
     expect_results_identical(serial.at(0, pol, 0).result, standalone);
   }
+}
+
+// --- Warm-state sharing ---------------------------------------------------
+
+/// Every cell of `grid` equals its standalone run_bag_of_tasks, the
+/// replication outcome included.
+void expect_cells_match_standalone(
+    const std::vector<SweepPopulation>& populations,
+    const PolicySweepConfig& sweep, const PolicySweepResult& grid) {
+  ASSERT_EQ(grid.cells.size(), populations.size() * sweep.policies.size() *
+                                   sweep.task_counts.size());
+  for (const PolicySweepCell& cell : grid.cells) {
+    BagOfTasksConfig direct = sweep.base;
+    direct.task_count = sweep.task_counts[cell.task_count];
+    SCOPED_TRACE("population " + std::to_string(cell.population) +
+                 ", policy " + to_string(sweep.policies[cell.policy]) +
+                 ", tasks " + std::to_string(direct.task_count));
+    util::Rng rng(sweep.workload_seed);
+    const BagOfTasksResult standalone =
+        run_bag_of_tasks(populations[cell.population].hosts, direct,
+                         sweep.policies[cell.policy], rng);
+    expect_results_identical(cell.result, standalone);
+    const ReplicationOutcome& a = cell.result.replication;
+    const ReplicationOutcome& b = standalone.replication;
+    EXPECT_EQ(a.tasks_validated, b.tasks_validated);
+    EXPECT_EQ(a.tasks_invalid, b.tasks_invalid);
+    EXPECT_EQ(a.tasks_missed_deadline, b.tasks_missed_deadline);
+    EXPECT_EQ(a.replicas_issued, b.replicas_issued);
+    EXPECT_EQ(a.replicas_crashed, b.replicas_crashed);
+    EXPECT_EQ(a.reissues, b.reissues);
+    EXPECT_EQ(a.wasted_replica_cpu_days, b.wasted_replica_cpu_days);
+    EXPECT_EQ(a.last_validation_day, b.last_validation_day);
+  }
+}
+
+/// Two distinct populations of 90 hosts and one of 120.
+std::vector<SweepPopulation> sharing_populations() {
+  std::vector<SweepPopulation> populations;
+  populations.push_back(
+      {"a90", HostResourcesSoA::from_hosts(model_hosts(90, 41))});
+  populations.push_back(
+      {"b90", HostResourcesSoA::from_hosts(model_hosts(90, 42))});
+  populations.push_back(
+      {"c120", HostResourcesSoA::from_hosts(model_hosts(120, 43))});
+  return populations;
+}
+
+/// Runs `sweep` at 1 and 4 threads; both must equal the standalone runs
+/// and report `draws` availability realizations.
+void expect_sweep_shares(const std::vector<SweepPopulation>& populations,
+                         PolicySweepConfig sweep, std::size_t draws) {
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    sweep.threads = threads;
+    const PolicySweepResult grid = run_policy_sweep(populations, sweep);
+    EXPECT_EQ(grid.availability_draws, draws);
+    expect_cells_match_standalone(populations, sweep, grid);
+  }
+}
+
+PolicySweepConfig grid_sweep() {
+  PolicySweepConfig sweep;
+  sweep.policies = {SchedulingPolicy::kDynamicPull,
+                    SchedulingPolicy::kDynamicEct,
+                    SchedulingPolicy::kChurnEctCheckpoint,
+                    SchedulingPolicy::kChurnEctRestart,
+                    SchedulingPolicy::kChurnEctAbandon};
+  sweep.task_counts = {150, 260};
+  sweep.workload_seed = 4711;
+  return sweep;
+}
+
+PolicySweepConfig replicated_sweep() {
+  PolicySweepConfig sweep;
+  sweep.policies = {SchedulingPolicy::kDynamicEct,
+                    SchedulingPolicy::kChurnEctCheckpoint};
+  sweep.task_counts = {200};
+  sweep.base.replication.enabled = true;
+  sweep.base.replication.quorum = 2;
+  sweep.base.replication.replicas = 3;
+  sweep.base.replication.deadline_days = 4.0;
+  sweep.base.fault_mix.crash_fraction = 0.1;
+  sweep.base.fault_mix.straggler_fraction = 0.05;
+  sweep.base.fault_mix.corrupter_fraction = 0.05;
+  sweep.workload_seed = 4712;
+  return sweep;
+}
+
+TEST(PolicySweep, EqualSizedUncoupledPopulationsShareOneDraw) {
+  // An uncoupled draw reads only the host count and the seed stream, so
+  // the two 90-host populations share one realization (timeline, post-
+  // draw stream, cursor seed) and the 120-host one draws its own. Every
+  // cell must still equal its standalone run, which draws for itself.
+  const std::vector<SweepPopulation> populations = sharing_populations();
+  expect_sweep_shares(populations, grid_sweep(), 2);
+  // The derated rates and the shared fractions, beside the churn cells'
+  // full-rate states.
+  PolicySweepConfig derated = grid_sweep();
+  derated.base.model_availability = true;
+  expect_sweep_shares(populations, derated, 2);
+  expect_sweep_shares(populations, replicated_sweep(), 2);
+}
+
+TEST(PolicySweep, CoupledPopulationsDrawTheirOwnRealization) {
+  // Coupled parameters are ranked by each population's speeds, so equal
+  // host counts share nothing: three populations, three draws.
+  const std::vector<SweepPopulation> populations = sharing_populations();
+  PolicySweepConfig grid = grid_sweep();
+  grid.base.availability_coupled = true;
+  grid.base.availability_coupling.speed_rho = -0.6;
+  expect_sweep_shares(populations, grid, 3);
+  PolicySweepConfig replicated = replicated_sweep();
+  replicated.base.availability_coupled = true;
+  replicated.base.availability_coupling.speed_rho = -0.6;
+  expect_sweep_shares(populations, replicated, 3);
+}
+
+TEST(PolicySweep, DerateOnlySweepSharesFractions) {
+  // No churn or replicated cell: the shared draw keeps only the
+  // fractions, and every derated cell resumes from the post-draw stream.
+  const std::vector<SweepPopulation> populations = sharing_populations();
+  PolicySweepConfig sweep;
+  sweep.policies = {SchedulingPolicy::kStaticRoundRobin,
+                    SchedulingPolicy::kStaticSpeedWeighted,
+                    SchedulingPolicy::kDynamicPull,
+                    SchedulingPolicy::kDynamicEct};
+  sweep.task_counts = {150};
+  sweep.base.model_availability = true;
+  sweep.workload_seed = 4713;
+  expect_sweep_shares(populations, sweep, 2);
+  // Nothing consumes a draw without the derate.
+  sweep.base.model_availability = false;
+  expect_sweep_shares(populations, sweep, 0);
 }
 
 TEST(BagOfTasks, RejectsOutOfRangeChurnLookaheadLevels) {

@@ -195,6 +195,47 @@ TEST(Adapters, GoldenDigests1k) {
   std::remove(path.c_str());
 }
 
+// --- Format stability -----------------------------------------------------
+
+// tests/store/data/ holds a committed trace.v1 and population.v1 snapshot,
+// 24 rows in 3 shards each, written by these calls (make_trace and
+// make_population as defined above):
+//   write_trace_snapshot("trace_v1.snap", make_trace(24, 0x7ace1),
+//                        /*shard_rows=*/10);
+//   write_population_snapshot("population_v1.snap",
+//                             make_population(24, 0xb47c1),
+//                             /*shard_rows=*/10);
+// A reader that refuses a fixture or restores other values, or a writer
+// that does not reproduce it from what the reader restored, has changed
+// the on-disk format.
+std::string store_fixture(const char* name) {
+  return std::string(RESMODEL_STORE_FIXTURE_DIR) + "/" + name;
+}
+
+TEST(Adapters, GoldenTraceFixtureLoadsAndRewrites) {
+  const std::string fixture = store_fixture("trace_v1.snap");
+  EXPECT_EQ(SnapshotReader(fixture).shard_count(), 3u);
+  const trace::TraceStore loaded = read_trace_snapshot(fixture);
+  expect_equal(make_trace(24, 0x7ace1), loaded);
+
+  const std::string rewritten = temp_path("trace_v1_rewrite.snap");
+  write_trace_snapshot(rewritten, loaded, /*shard_rows=*/10);
+  EXPECT_EQ(read_file(rewritten), read_file(fixture));
+  std::remove(rewritten.c_str());
+}
+
+TEST(Adapters, GoldenPopulationFixtureLoadsAndRewrites) {
+  const std::string fixture = store_fixture("population_v1.snap");
+  EXPECT_EQ(SnapshotReader(fixture).shard_count(), 3u);
+  const core::GeneratedHostBatch loaded = read_population_snapshot(fixture);
+  expect_equal(make_population(24, 0xb47c1), loaded);
+
+  const std::string rewritten = temp_path("population_v1_rewrite.snap");
+  write_population_snapshot(rewritten, loaded, /*shard_rows=*/10);
+  EXPECT_EQ(read_file(rewritten), read_file(fixture));
+  std::remove(rewritten.c_str());
+}
+
 TEST(Adapters, UnpackRejectsWrongKind) {
   const core::GeneratedHostBatch batch = make_population(10, 1);
   const Snapshot snap = pack_population(batch);

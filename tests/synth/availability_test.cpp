@@ -58,6 +58,27 @@ TEST(AvailabilityModel, ExpectedAvailabilityIsPlausible) {
   EXPECT_LT(model.expected_availability(), 0.95);
 }
 
+TEST(AvailabilityModel, ExpectedAvailabilityIsTheClosedFormBitForBit) {
+  // E[on] / (E[on] + E[off]) with E[on] = lambda * Gamma(1 + 1/k) and
+  // E[off] = exp(mu + sigma^2 / 2), written with std::lgamma: the
+  // thread-safe lgamma_r inside the model must not move a single ulp.
+  for (const double k : {0.25, 0.40, 1.0, 2.5}) {
+    for (const double mu : {-1.9, 0.5}) {
+      AvailabilityParams params;
+      params.on_weibull_k = k;
+      params.off_lognormal_mu = mu;
+      const double mean_on = params.on_weibull_lambda *
+                             std::exp(std::lgamma(1.0 + 1.0 / k));
+      const double mean_off =
+          std::exp(mu + params.off_lognormal_sigma *
+                            params.off_lognormal_sigma / 2.0);
+      EXPECT_EQ(AvailabilityModel(params).expected_availability(),
+                mean_on / (mean_on + mean_off))
+          << "k=" << k << " mu=" << mu;
+    }
+  }
+}
+
 TEST(AvailabilityModel, HigherOffMeanLowersAvailability) {
   AvailabilityParams long_off;
   long_off.off_lognormal_mu = 0.5;  // much longer outages
