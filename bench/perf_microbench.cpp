@@ -252,18 +252,20 @@ sim::HostResourcesSoA scheduling_hosts(std::size_t n) {
 }
 
 // The acceptance pair for the blocked-MCT rewrite: the retained scalar
-// kDynamicEct scan vs the blocked + lower-bound-pruned kernel over the
-// columnar ScheduleState, identical hosts and workload (and bit-identical
-// results — tests/sim/ enforces that). At 100k hosts / 100k tasks the
-// blocked path must be >= 3x faster in the same Release run.
+// kDynamicEct scan (backend = kScalar) vs the blocked + lower-bound-pruned
+// kernel over the columnar ScheduleState, identical hosts and workload
+// (and bit-identical results — tests/sim/ enforces that). At 100k hosts /
+// 100k tasks the blocked path must be >= 3x faster in the same Release
+// run.
 void BM_BagOfTasksEctReference(benchmark::State& state) {
   const sim::HostResourcesSoA hosts =
       scheduling_hosts(static_cast<std::size_t>(state.range(0)));
   sim::BagOfTasksConfig config;
   config.task_count = static_cast<std::size_t>(state.range(1));
+  config.backend = backend::Backend::kScalar;
   for (auto _ : state) {
     util::Rng rng(99);
-    benchmark::DoNotOptimize(sim::run_bag_of_tasks_reference(
+    benchmark::DoNotOptimize(sim::run_bag_of_tasks(
         hosts, config, sim::SchedulingPolicy::kDynamicEct, rng));
   }
   state.SetItemsProcessed(state.iterations() * state.range(1));

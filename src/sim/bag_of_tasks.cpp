@@ -47,9 +47,6 @@ AvailabilityRealization realize_availability(std::span<const double> speed,
         "realize_availability: non-positive availability horizon");
   }
   const double horizon = config.availability_horizon_days;
-  const synth::StartMode mode = config.availability_stationary_start
-                                    ? synth::StartMode::kStationary
-                                    : synth::StartMode::kOnAtStart;
   AvailabilityRealization real;
   churn::IntervalTimeline timeline;
   if (config.availability_coupled) {
@@ -59,12 +56,11 @@ AvailabilityRealization realize_availability(std::span<const double> speed,
     const std::vector<synth::AvailabilityParams> params =
         churn::couple_availability_to_speed(
             speed, config.availability, config.availability_coupling, rng);
-    timeline = churn::IntervalTimeline::generate(params, 0.0, horizon, rng,
-                                                 mode);
+    timeline = churn::IntervalTimeline::generate(params, 0.0, horizon, rng);
   } else {
     const synth::AvailabilityModel model(config.availability);
     timeline = churn::IntervalTimeline::generate(model, speed.size(), 0.0,
-                                                 horizon, rng, mode);
+                                                 horizon, rng);
   }
   real.fractions.resize(speed.size());
   for (std::size_t h = 0; h < speed.size(); ++h) {
@@ -74,21 +70,6 @@ AvailabilityRealization realize_availability(std::span<const double> speed,
       std::make_shared<const churn::IntervalTimeline>(std::move(timeline));
   return real;
 }
-
-namespace {
-
-// Base rates without any availability treatment (no rng consumption) —
-// the shared first step of both rate paths and the speed column the
-// copula coupling ranks against.
-std::vector<double> base_host_rates(std::span<const HostResources> hosts) {
-  std::vector<double> rates(hosts.size());
-  for (std::size_t i = 0; i < hosts.size(); ++i) {
-    rates[i] = std::max(1.0, hosts[i].cores * hosts[i].whetstone_mips);
-  }
-  return rates;
-}
-
-}  // namespace
 
 std::vector<double> base_host_rates(const HostResourcesSoA& hosts) {
   const std::size_t n = hosts.size();
@@ -105,15 +86,11 @@ std::vector<double> base_host_rates(const HostResourcesSoA& hosts) {
 
 namespace {
 
-// Derates `rates` in place by each host's sampled long-run ON fraction.
-// The realization forks the rng once per host, in host order — the single
-// consumption order every entry point shares, so AoS and SoA runs stay
-// bit-identical.
-void derate_by_availability(std::vector<double>& rates,
-                            const BagOfTasksConfig& config, util::Rng& rng) {
-  const AvailabilityRealization real = realize_availability(rates, config, rng);
+// Derates `rates` in place by each host's long-run ON fraction, floored
+// at 1% so no host's rate reaches zero.
+void derate(std::vector<double>& rates, std::span<const double> fractions) {
   for (std::size_t h = 0; h < rates.size(); ++h) {
-    rates[h] *= std::max(0.01, real.fractions[h]);
+    rates[h] *= std::max(0.01, fractions[h]);
   }
 }
 
@@ -170,37 +147,213 @@ std::string to_string(SchedulingPolicy policy) {
   return "unknown";
 }
 
-std::vector<double> compute_host_rates(std::span<const HostResources> hosts,
-                                       const BagOfTasksConfig& config,
-                                       util::Rng& rng) {
-  std::vector<double> rates = base_host_rates(hosts);
-  if (config.model_availability) derate_by_availability(rates, config, rng);
-  return rates;
-}
-
 std::vector<double> compute_host_rates(const HostResourcesSoA& hosts,
                                        const BagOfTasksConfig& config,
                                        util::Rng& rng) {
   std::vector<double> rates = base_host_rates(hosts);
-  if (config.model_availability) derate_by_availability(rates, config, rng);
+  if (config.model_availability) {
+    derate(rates, realize_availability(rates, config, rng).fractions);
+  }
   return rates;
 }
 
 namespace {
 
-// The policy dispatch shared by every entry point: everything below only
-// needs a built ScheduleState (plus, for the churn family, the interval
-// timeline). `reference_dynamics` selects the retained scalar /
-// priority_queue / full-walk kernels for the dynamic policies.
-// `cursor_seed`, when given, is a ChurnScheduler over an identically
-// fresh state whose cursor columns are copied instead of re-derived —
-// run_policy_sweep's per-population warm start.
-BagOfTasksResult run_with_state(ScheduleState state,
-                                const churn::IntervalTimeline* timeline,
-                                const BagOfTasksConfig& config,
-                                SchedulingPolicy policy, util::Rng& rng,
-                                bool reference_dynamics,
-                                const churn::ChurnScheduler* cursor_seed) {
+// Refuses, on the calling thread, every input a cell of `grid` would
+// reject: a throw from inside a spawned worker would land in
+// std::terminate. `who` names the entry point in the message.
+void validate_grid(const PolicySweepConfig& grid, const std::string& who) {
+  if (grid.policies.empty() || grid.task_counts.empty()) {
+    throw std::invalid_argument(who + ": empty grid axis");
+  }
+  const BagOfTasksConfig& base = grid.base;
+  if (std::ranges::find(grid.task_counts, std::size_t{0}) !=
+          grid.task_counts.end() ||
+      !(base.task_cost_mips_days_mean > 0.0) || !(base.task_cost_cv > 0.0)) {
+    throw std::invalid_argument(who + ": degenerate config");
+  }
+  if (base.churn_lookahead_levels == 0 ||
+      base.churn_lookahead_levels > churn::kMaxLookaheadLevels) {
+    throw std::invalid_argument(
+        who + ": churn_lookahead_levels must be in [1, " +
+        std::to_string(churn::kMaxLookaheadLevels) + "]");
+  }
+  const bool replicated = base.replicated_run();
+  if (replicated) {
+    base.replication.validate();
+    base.fault_mix.validate();
+  }
+  for (const SchedulingPolicy policy : grid.policies) {
+    switch (policy) {
+      case SchedulingPolicy::kStaticRoundRobin:
+      case SchedulingPolicy::kStaticSpeedWeighted:
+      case SchedulingPolicy::kDynamicPull:
+        // The replicated engine only composes with the ECT-family
+        // policies: static striping and pull have no per-replica
+        // completion estimate to validate deadlines against, and a
+        // graceful refusal beats a silently meaningless quorum.
+        if (replicated) {
+          throw std::invalid_argument(
+              who + ": replication/fault injection requires ECT-family "
+                    "policies (dynamic ECT or churn ECT)");
+        }
+        break;
+      case SchedulingPolicy::kDynamicEct:
+      case SchedulingPolicy::kChurnEctCheckpoint:
+      case SchedulingPolicy::kChurnEctRestart:
+      case SchedulingPolicy::kChurnEctAbandon:
+        break;
+      default:
+        throw std::invalid_argument(who + ": unknown policy");
+    }
+  }
+  if (base.availability_coupled && !grid.draws_availability()) {
+    throw std::invalid_argument(
+        who + ": availability_coupled needs model_availability, a churn "
+              "policy or a replicated run (no cell draws availability)");
+  }
+}
+
+// A grid's warm state: every input of a cell but its task count, derived
+// once per distinct input before any cell runs. Cells COPY it (column
+// memcpy instead of a re-draw, re-sort or re-search); a copied piece
+// holds exactly the values a fresh derivation produces, so a sweep cell
+// is bit-identical to its standalone run, the grid of that one cell:
+//  - An availability draw (timeline, fractions, and the stream after
+//    it) reads the seed stream and, uncoupled, nothing of the hosts
+//    but their count (realize_availability passes only speed.size() to
+//    the timeline). Uncoupled populations of equal size therefore
+//    share one draw; coupled ones rank parameters by speed and draw
+//    their own.
+//  - The churn cursor columns read only the timeline and a fresh
+//    state's all-zero free_at, so one cursor seed per draw serves every
+//    population on it.
+//  - The ScheduleState (rates plus rate-sorted ect_* caches) is per
+//    population. Derate cells read rates derated iff
+//    model_availability; churn cells read the full rates, which need a
+//    second state only when model_availability derates the first.
+// Cells resume their task sampling from the post-draw stream when they
+// consume the draw (churn and replicated cells, or derate cells under
+// model_availability) and from the seed stream otherwise.
+struct Draw {
+  std::size_t host_count = 0;
+  /// Held only when a churn or replicated cell walks it.
+  std::shared_ptr<const churn::IntervalTimeline> timeline;
+  std::vector<double> fractions;  ///< model_availability only
+  util::Rng rng_after;
+  std::optional<churn::ChurnScheduler> cursor_seed;  ///< churn cells only
+};
+
+struct PopulationState {
+  ScheduleState state;  ///< rates derated iff model_availability
+  std::optional<ScheduleState> full;  ///< underated; derate && churn cells
+  std::size_t draw = 0;               ///< index into WarmState::draws
+};
+
+struct WarmState {
+  util::Rng seed;  ///< where every cell's stream starts
+  std::vector<PopulationState> populations;
+  std::vector<Draw> draws;
+};
+
+/// The state a `policy` cell of `pop` starts from (Pop is PopulationState
+/// or const PopulationState).
+template <typename Pop>
+auto& state_for(Pop& pop, SchedulingPolicy policy) {
+  return is_churn_policy(policy) && pop.full ? *pop.full : pop.state;
+}
+
+// Derives the warm state of the validated `grid` over `hosts` (one entry
+// per population). Draws start from `seed`; `given`, when set, stands in
+// for the draw and leaves the seed stream untouched.
+WarmState derive_warm_state(std::span<const HostResourcesSoA* const> hosts,
+                            const PolicySweepConfig& grid,
+                            const util::Rng& seed,
+                            const AvailabilityRealization* given) {
+  const BagOfTasksConfig& base = grid.base;
+  const bool any_churn = std::ranges::any_of(grid.policies, is_churn_policy);
+  const bool any_ect =
+      any_churn || std::ranges::find(grid.policies,
+                                     SchedulingPolicy::kDynamicEct) !=
+                       grid.policies.end();
+  const bool walks_timeline = any_churn || base.replicated_run();
+  const bool derated = base.model_availability;
+  // Sized up front: a cursor seed keeps a reference to the population
+  // state it was derived over, and a draw is never moved once seeded.
+  WarmState warm{seed, std::vector<PopulationState>(hosts.size()), {}};
+  warm.draws.reserve(hosts.size());
+  for (std::size_t p = 0; p < hosts.size(); ++p) {
+    PopulationState& pop = warm.populations[p];
+    std::vector<double> rates = base_host_rates(*hosts[p]);
+    Draw* draw = nullptr;
+    if (grid.draws_availability()) {
+      const auto reusable =
+          base.availability_coupled
+              ? warm.draws.end()
+              : std::ranges::find(warm.draws, rates.size(), &Draw::host_count);
+      pop.draw = static_cast<std::size_t>(reusable - warm.draws.begin());
+      if (reusable == warm.draws.end()) {
+        Draw& fresh = warm.draws.emplace_back();
+        fresh.host_count = rates.size();
+        fresh.rng_after = seed;
+        AvailabilityRealization real =
+            given != nullptr ? *given
+                             : realize_availability(rates, base,
+                                                    fresh.rng_after);
+        if (walks_timeline) {
+          if (!real.timeline || real.timeline->host_count() != rates.size()) {
+            throw std::invalid_argument(
+                "run_bag_of_tasks: availability timeline does not cover the "
+                "hosts");
+          }
+          fresh.timeline = std::move(real.timeline);
+        }
+        if (derated) {
+          if (real.fractions.size() != rates.size()) {
+            throw std::invalid_argument(
+                "run_bag_of_tasks: availability fractions do not cover the "
+                "hosts");
+          }
+          fresh.fractions = std::move(real.fractions);
+        }
+      }
+      draw = &warm.draws[pop.draw];
+    }
+    if (derated) {
+      if (any_churn) {
+        pop.full = ScheduleState::from_rates(rates);
+        pop.full->ensure_ect_caches();
+      }
+      derate(rates, draw->fractions);
+    }
+    pop.state = ScheduleState::from_rates(std::move(rates));
+    if (any_ect) pop.state.ensure_ect_caches();
+    if (any_churn && !draw->cursor_seed) {
+      churn::ChurnSchedulerConfig seed_config;
+      seed_config.lookahead_levels = base.churn_lookahead_levels;
+      seed_config.backend = base.backend;
+      draw->cursor_seed.emplace(
+          state_for(pop, SchedulingPolicy::kChurnEctCheckpoint),
+          *draw->timeline, seed_config);
+    }
+  }
+  return warm;
+}
+
+// The cell body: `state` is state_for(population, policy) of `warm`
+// (copied by a sweep cell, moved by a standalone run, its only use).
+// `rng` returns holding where the cell's stream ends.
+BagOfTasksResult run_cell(ScheduleState state, const WarmState& warm,
+                          std::size_t population,
+                          const BagOfTasksConfig& config,
+                          SchedulingPolicy policy, util::Rng& rng) {
+  const bool churn_cell = is_churn_policy(policy);
+  const bool replicated = config.replicated_run();
+  const Draw* draw =
+      churn_cell || replicated || config.model_availability
+          ? &warm.draws[warm.populations[population].draw]
+          : nullptr;
+  rng = draw != nullptr ? draw->rng_after : warm.seed;
   const std::vector<double> tasks = sample_tasks(config, rng);
   const std::size_t host_count = state.size();
   state.backend = config.backend;
@@ -211,21 +364,16 @@ BagOfTasksResult run_with_state(ScheduleState state,
   // does, which is what the 1-of-1-no-fault == plain equivalence tests
   // pin down.
   FaultProfiles faults;
-  if (config.replicated_run()) {
-    config.replication.validate();
+  if (replicated) {
     if (config.fault_mix.any()) {
       faults = sample_fault_profiles(host_count, config.fault_mix, rng);
     } else {
       faults.type.assign(host_count, FaultType::kHonest);
       faults.slowdown.assign(host_count, 1.0);
     }
-    if (timeline == nullptr) {
-      throw std::invalid_argument(
-          "run_bag_of_tasks: replicated run needs an interval timeline");
-    }
   }
 
-  if (is_churn_policy(policy)) {
+  if (churn_cell) {
     churn::InterruptionPolicy interruption =
         churn::InterruptionPolicy::kCheckpoint;
     if (policy == SchedulingPolicy::kChurnEctRestart) {
@@ -233,30 +381,14 @@ BagOfTasksResult run_with_state(ScheduleState state,
     } else if (policy == SchedulingPolicy::kChurnEctAbandon) {
       interruption = churn::InterruptionPolicy::kAbandon;
     }
-    churn::ChurnSchedulerConfig sched_config;
-    sched_config.lookahead_levels = config.churn_lookahead_levels;
-    sched_config.backend = config.backend;
-    std::optional<churn::ChurnScheduler> scheduler;
-    // The seed carries its own config; it may only stand in for a fresh
-    // derivation when the depth and backend agree, or the cell would
-    // silently run at the seed's settings and break the cell ==
-    // standalone contract.
-    if (cursor_seed != nullptr &&
-        cursor_seed->config().lookahead_levels ==
-            config.churn_lookahead_levels &&
-        cursor_seed->config().backend == config.backend) {
-      scheduler.emplace(state, *cursor_seed);
-    } else {
-      scheduler.emplace(state, *timeline, sched_config);
-    }
-    if (config.replicated_run()) {
-      return run_replicated_churn(*scheduler, state, tasks, faults,
+    churn::ChurnScheduler scheduler(state, *draw->cursor_seed);
+    if (replicated) {
+      return run_replicated_churn(scheduler, state, tasks, faults,
                                   config.replication, interruption,
-                                  reference_dynamics);
+                                  /*reference_dynamics=*/false);
     }
     const churn::ChurnScheduleTotals totals =
-        reference_dynamics ? scheduler->run_reference(tasks, interruption)
-                           : scheduler->run(tasks, interruption);
+        scheduler.run(tasks, interruption);
     BagOfTasksResult result =
         finish(state.busy_days, totals.total_cpu_days, totals.makespan_days);
     result.wasted_cpu_days = totals.wasted_cpu_days;
@@ -264,19 +396,11 @@ BagOfTasksResult run_with_state(ScheduleState state,
     return result;
   }
 
-  if (config.replicated_run()) {
-    // The non-churn replicated arm: only kDynamicEct has a completion-
-    // time model to validate deadlines against. Static striping and pull
-    // have no per-replica completion estimate — graceful refusal beats a
-    // silently meaningless quorum.
-    if (policy != SchedulingPolicy::kDynamicEct) {
-      throw std::invalid_argument(
-          "run_bag_of_tasks: replication/fault injection requires an "
-          "ECT-family policy (dynamic ECT or churn ECT)");
-    }
-    return run_replicated_ect(state, *timeline, tasks, faults,
+  if (replicated) {
+    // validate_grid let only kDynamicEct through to here.
+    return run_replicated_ect(state, *draw->timeline, tasks, faults,
                               config.replication, config.backend,
-                              reference_dynamics);
+                              /*reference_dynamics=*/false);
   }
 
   switch (policy) {
@@ -338,7 +462,7 @@ BagOfTasksResult run_with_state(ScheduleState state,
       // and churn paths route themselves via state.backend / the
       // scheduler config).
       const DynamicScheduleTotals totals =
-          reference_dynamics || config.backend == backend::Backend::kScalar
+          config.backend == backend::Backend::kScalar
               ? pull_schedule_reference(state, tasks)
               : pull_schedule_dary(state, tasks);
       return finish(state.busy_days, totals.total_cpu_days,
@@ -346,9 +470,7 @@ BagOfTasksResult run_with_state(ScheduleState state,
     }
 
     case SchedulingPolicy::kDynamicEct: {
-      const DynamicScheduleTotals totals =
-          reference_dynamics ? ect_schedule_reference(state, tasks)
-                             : ect_schedule_blocked(state, tasks);
+      const DynamicScheduleTotals totals = ect_schedule_blocked(state, tasks);
       return finish(state.busy_days, totals.total_cpu_days,
                     totals.makespan_days);
     }
@@ -361,294 +483,71 @@ BagOfTasksResult run_with_state(ScheduleState state,
   throw std::invalid_argument("run_bag_of_tasks: unknown policy");
 }
 
-void validate_config(const BagOfTasksConfig& config) {
-  if (config.task_count == 0 || !(config.task_cost_mips_days_mean > 0.0) ||
-      !(config.task_cost_cv > 0.0)) {
-    throw std::invalid_argument("run_bag_of_tasks: degenerate config");
-  }
-  if (config.churn_lookahead_levels == 0 ||
-      config.churn_lookahead_levels > churn::kMaxLookaheadLevels) {
-    throw std::invalid_argument(
-        "run_bag_of_tasks: churn_lookahead_levels must be in [1, " +
-        std::to_string(churn::kMaxLookaheadLevels) + "]");
-  }
-  if (config.replicated_run()) {
-    config.replication.validate();
-    config.fault_mix.validate();
-  }
-}
-
-BagOfTasksResult run_with_rates(std::vector<double> rates,
-                                const churn::IntervalTimeline* timeline,
-                                const BagOfTasksConfig& config,
-                                SchedulingPolicy policy, util::Rng& rng,
-                                bool reference_dynamics) {
-  return run_with_state(ScheduleState::from_rates(std::move(rates)), timeline,
-                        config, policy, rng, reference_dynamics,
-                        /*cursor_seed=*/nullptr);
-}
-
-template <typename Hosts>
-BagOfTasksResult run_any(const Hosts& hosts, const BagOfTasksConfig& config,
+// A standalone run: the grid of one population, one policy and one task
+// count, seeded by the caller's stream, which it leaves where the cell's
+// stream ends.
+BagOfTasksResult run_one(const HostResourcesSoA& hosts,
+                         const BagOfTasksConfig& config,
                          SchedulingPolicy policy, util::Rng& rng,
-                         bool reference_dynamics) {
+                         const AvailabilityRealization* given) {
   if (hosts.empty()) {
     throw std::invalid_argument("run_bag_of_tasks: no hosts");
   }
-  validate_config(config);
-  if (is_churn_policy(policy)) {
-    // Churn policies schedule against the interval structure itself: full
-    // (underated) rates plus the timeline, drawn with the same stream the
-    // derate path would consume — a derate run and a churn run with equal
-    // seeds walk the same realizations.
-    std::vector<double> rates = base_host_rates(hosts);
-    const AvailabilityRealization real =
-        realize_availability(rates, config, rng);
-    return run_with_rates(std::move(rates), real.timeline.get(), config,
-                          policy, rng, reference_dynamics);
-  }
-  if (config.replicated_run()) {
-    // kDynamicEct under replication: the rates derate exactly as the
-    // plain path (iff model_availability), but the SAME realization's
-    // timeline rides along for the crash model — one draw, consumed
-    // identically to the churn branch above.
-    std::vector<double> rates = base_host_rates(hosts);
-    const AvailabilityRealization real =
-        realize_availability(rates, config, rng);
-    if (config.model_availability) {
-      for (std::size_t h = 0; h < rates.size(); ++h) {
-        rates[h] *= std::max(0.01, real.fractions[h]);
-      }
-    }
-    return run_with_rates(std::move(rates), real.timeline.get(), config,
-                          policy, rng, reference_dynamics);
-  }
-  return run_with_rates(compute_host_rates(hosts, config, rng), nullptr,
-                        config, policy, rng, reference_dynamics);
+  PolicySweepConfig grid;
+  grid.policies = {policy};
+  grid.task_counts = {config.task_count};
+  grid.base = config;
+  validate_grid(grid, "run_bag_of_tasks");
+  const HostResourcesSoA* const population[] = {&hosts};
+  WarmState warm = derive_warm_state(population, grid, rng, given);
+  return run_cell(std::move(state_for(warm.populations[0], policy)), warm, 0,
+                  config, policy, rng);
 }
 
 }  // namespace
 
-BagOfTasksResult run_bag_of_tasks(std::span<const HostResources> hosts,
-                                  const BagOfTasksConfig& config,
-                                  SchedulingPolicy policy, util::Rng& rng) {
-  return run_any(hosts, config, policy, rng, /*reference_dynamics=*/false);
-}
-
 BagOfTasksResult run_bag_of_tasks(const HostResourcesSoA& hosts,
                                   const BagOfTasksConfig& config,
                                   SchedulingPolicy policy, util::Rng& rng) {
-  return run_any(hosts, config, policy, rng, /*reference_dynamics=*/false);
+  return run_one(hosts, config, policy, rng, /*given=*/nullptr);
 }
 
 BagOfTasksResult run_bag_of_tasks(const HostResourcesSoA& hosts,
                                   const AvailabilityRealization& availability,
                                   const BagOfTasksConfig& config,
                                   SchedulingPolicy policy, util::Rng& rng) {
-  if (hosts.empty()) {
-    throw std::invalid_argument("run_bag_of_tasks: no hosts");
-  }
-  validate_config(config);
-  std::vector<double> rates = base_host_rates(hosts);
-  if (is_churn_policy(policy)) {
-    if (!availability.timeline ||
-        availability.timeline->host_count() != rates.size()) {
-      throw std::invalid_argument(
-          "run_bag_of_tasks: availability timeline does not cover the hosts");
-    }
-    return run_with_rates(std::move(rates), availability.timeline.get(),
-                          config, policy, rng, /*reference_dynamics=*/false);
-  }
-  if (config.model_availability) {
-    if (availability.fractions.size() != rates.size()) {
-      throw std::invalid_argument(
-          "run_bag_of_tasks: availability fractions do not cover the hosts");
-    }
-    for (std::size_t h = 0; h < rates.size(); ++h) {
-      rates[h] *= std::max(0.01, availability.fractions[h]);
-    }
-  }
-  const churn::IntervalTimeline* timeline = nullptr;
-  if (config.replicated_run()) {
-    // Replicated kDynamicEct needs the realization's timeline for the
-    // crash model even when the rates are not derated.
-    if (!availability.timeline ||
-        availability.timeline->host_count() != rates.size()) {
-      throw std::invalid_argument(
-          "run_bag_of_tasks: availability timeline does not cover the hosts");
-    }
-    timeline = availability.timeline.get();
-  }
-  return run_with_rates(std::move(rates), timeline, config, policy, rng,
-                        /*reference_dynamics=*/false);
-}
-
-BagOfTasksResult run_bag_of_tasks_reference(
-    std::span<const HostResources> hosts, const BagOfTasksConfig& config,
-    SchedulingPolicy policy, util::Rng& rng) {
-  return run_any(hosts, config, policy, rng, /*reference_dynamics=*/true);
-}
-
-BagOfTasksResult run_bag_of_tasks_reference(const HostResourcesSoA& hosts,
-                                            const BagOfTasksConfig& config,
-                                            SchedulingPolicy policy,
-                                            util::Rng& rng) {
-  return run_any(hosts, config, policy, rng, /*reference_dynamics=*/true);
+  return run_one(hosts, config, policy, rng, &availability);
 }
 
 PolicySweepResult run_policy_sweep(std::span<const SweepPopulation> populations,
                                    const PolicySweepConfig& config) {
-  if (populations.empty() || config.policies.empty() ||
-      config.task_counts.empty()) {
+  if (populations.empty()) {
     throw std::invalid_argument("run_policy_sweep: empty grid axis");
   }
+  std::vector<const HostResourcesSoA*> hosts;
   for (const SweepPopulation& pop : populations) {
     if (pop.hosts.empty()) {
       throw std::invalid_argument("run_policy_sweep: empty population '" +
                                   pop.name + "'");
     }
+    hosts.push_back(&pop.hosts);
   }
-  // Validate every cell's inputs up front: a throw from inside a spawned
-  // worker would land in std::terminate.
-  for (const std::size_t task_count : config.task_counts) {
-    BagOfTasksConfig probe = config.base;
-    probe.task_count = task_count;
-    validate_config(probe);
-  }
-  const bool replicated = config.base.replicated_run();
-  bool any_churn = false;
-  for (const SchedulingPolicy policy : config.policies) {
-    switch (policy) {
-      case SchedulingPolicy::kStaticRoundRobin:
-      case SchedulingPolicy::kStaticSpeedWeighted:
-      case SchedulingPolicy::kDynamicPull:
-        // Up-front refusal (a throw inside a spawned worker would land in
-        // std::terminate): the replicated engine only composes with the
-        // ECT-family policies.
-        if (replicated) {
-          throw std::invalid_argument(
-              "run_policy_sweep: replication/fault injection requires "
-              "ECT-family policies (dynamic ECT or churn ECT)");
-        }
-        break;
-      case SchedulingPolicy::kDynamicEct:
-        break;
-      case SchedulingPolicy::kChurnEctCheckpoint:
-      case SchedulingPolicy::kChurnEctRestart:
-      case SchedulingPolicy::kChurnEctAbandon:
-        any_churn = true;
-        break;
-      default:
-        throw std::invalid_argument("run_policy_sweep: unknown policy");
-    }
-  }
-  if (config.base.availability_coupled && !config.draws_availability()) {
-    throw std::invalid_argument(
-        "run_policy_sweep: availability_coupled needs model_availability, "
-        "a churn policy or a replicated run (no cell draws availability)");
-  }
+  validate_grid(config, "run_policy_sweep");
+  const WarmState warm = derive_warm_state(
+      hosts, config, util::Rng(config.workload_seed), /*given=*/nullptr);
 
   PolicySweepResult result;
   result.policy_count = config.policies.size();
   result.task_count_count = config.task_counts.size();
+  result.availability_draws = warm.draws.size();
   const std::size_t cell_count =
       populations.size() * result.policy_count * result.task_count_count;
   result.cells.resize(cell_count);
 
-  // Every cell reseeds Rng(workload_seed) and would re-derive identical
-  // warm state, so each distinct piece is derived once here and cells
-  // COPY it (column memcpy instead of a re-draw, re-sort or re-search).
-  // A copied piece holds exactly the values a fresh derivation produces,
-  // so a cell stays bit-identical to a standalone
-  // run_bag_of_tasks(hosts, config, policy, Rng(workload_seed)):
-  //  - An availability draw (timeline, fractions, and the stream after
-  //    it) reads the seed stream and, uncoupled, nothing of the hosts
-  //    but their count (realize_availability passes only speed.size() to
-  //    the timeline). Uncoupled populations of equal size therefore
-  //    share one draw; coupled ones rank parameters by speed and draw
-  //    their own.
-  //  - The churn cursor columns read only the timeline and a fresh
-  //    state's all-zero free_at, so one cursor seed per draw serves every
-  //    population on it.
-  //  - The ScheduleState (rates plus rate-sorted ect_* caches) is per
-  //    population. Derate cells read rates derated iff
-  //    model_availability; churn cells read the full rates, which need a
-  //    second state only when model_availability derates the first.
-  // Cells resume their task sampling from the post-draw stream when they
-  // consumed the draw (churn and replicated cells, or derate cells under
-  // model_availability) and from the untouched seed stream otherwise.
-  bool any_ect = any_churn;
-  for (const SchedulingPolicy policy : config.policies) {
-    if (policy == SchedulingPolicy::kDynamicEct) any_ect = true;
-  }
-  const bool any_draw = config.draws_availability();
-  const bool coupled = config.base.availability_coupled;
-  const bool derate = config.base.model_availability;
-  struct Draw {
-    std::size_t host_count = 0;
-    /// Held only when a churn or replicated cell walks it.
-    std::shared_ptr<const churn::IntervalTimeline> timeline;
-    std::vector<double> fractions;  ///< model_availability only
-    util::Rng rng_after;
-    std::optional<churn::ChurnScheduler> cursor_seed;  ///< any_churn only
-  };
-  struct PopulationState {
-    ScheduleState state;  ///< rates derated iff model_availability
-    std::optional<ScheduleState> full;  ///< underated; derate && any_churn
-    std::size_t draw = 0;               ///< index into `realized`
-    const ScheduleState& churn_state() const { return full ? *full : state; }
-  };
-  // Sized up front: a cursor seed keeps a reference to the population
-  // state it was derived over, and a draw is never moved once seeded.
-  std::vector<PopulationState> shared(populations.size());
-  std::vector<Draw> realized;
-  realized.reserve(populations.size());
-  for (std::size_t p = 0; p < populations.size(); ++p) {
-    PopulationState& pop = shared[p];
-    std::vector<double> rates = base_host_rates(populations[p].hosts);
-    Draw* draw = nullptr;
-    if (any_draw) {
-      const auto reusable =
-          coupled ? realized.end()
-                  : std::ranges::find(realized, rates.size(),
-                                      &Draw::host_count);
-      pop.draw = static_cast<std::size_t>(reusable - realized.begin());
-      if (reusable == realized.end()) {
-        Draw& fresh = realized.emplace_back();
-        fresh.host_count = rates.size();
-        fresh.rng_after = util::Rng(config.workload_seed);
-        AvailabilityRealization real =
-            realize_availability(rates, config.base, fresh.rng_after);
-        if (any_churn || replicated) fresh.timeline = std::move(real.timeline);
-        if (derate) fresh.fractions = std::move(real.fractions);
-      }
-      draw = &realized[pop.draw];
-    }
-    if (derate) {
-      if (any_churn) {
-        pop.full = ScheduleState::from_rates(rates);
-        pop.full->ensure_ect_caches();
-      }
-      for (std::size_t h = 0; h < rates.size(); ++h) {
-        rates[h] *= std::max(0.01, draw->fractions[h]);
-      }
-    }
-    pop.state = ScheduleState::from_rates(std::move(rates));
-    if (any_ect) pop.state.ensure_ect_caches();
-    if (any_churn && !draw->cursor_seed) {
-      churn::ChurnSchedulerConfig seed_config;
-      seed_config.lookahead_levels = config.base.churn_lookahead_levels;
-      seed_config.backend = config.base.backend;
-      draw->cursor_seed.emplace(pop.full ? *pop.full : pop.state,
-                                *draw->timeline, seed_config);
-    }
-  }
-  result.availability_draws = realized.size();
-
   // Independent, deterministically seeded cells claimed off the shared
   // worker pool. Any thread may run any cell; none of them shares mutable
-  // state (the states, draws and cursor seeds are read-only after the
-  // loop above), so the grid is thread-count invariant.
+  // state (the warm state is read-only here), so the grid is thread-count
+  // invariant.
   util::parallel_for(cell_count, config.threads, [&](std::size_t c) {
     PolicySweepCell& cell = result.cells[c];
     cell.task_count = c % result.task_count_count;
@@ -657,20 +556,10 @@ PolicySweepResult run_policy_sweep(std::span<const SweepPopulation> populations,
     BagOfTasksConfig cell_config = config.base;
     cell_config.task_count = config.task_counts[cell.task_count];
     const SchedulingPolicy policy = config.policies[cell.policy];
-    const PopulationState& pop = shared[cell.population];
-    const bool churn_cell = is_churn_policy(policy);
-    // Replicated cells (churn or not) walk the timeline for the crash
-    // model, exactly like a standalone replicated run.
-    const bool timeline_cell = churn_cell || replicated;
-    const Draw* draw =
-        timeline_cell || derate ? &realized[pop.draw] : nullptr;
-    util::Rng cell_rng =
-        draw != nullptr ? draw->rng_after : util::Rng(config.workload_seed);
-    cell.result = run_with_state(
-        ScheduleState(churn_cell ? pop.churn_state() : pop.state),
-        timeline_cell ? draw->timeline.get() : nullptr, cell_config, policy,
-        cell_rng, /*reference_dynamics=*/false,
-        churn_cell ? &*draw->cursor_seed : nullptr);
+    util::Rng rng;  // set by run_cell
+    cell.result = run_cell(
+        ScheduleState(state_for(warm.populations[cell.population], policy)),
+        warm, cell.population, cell_config, policy, rng);
   });
   return result;
 }

@@ -14,10 +14,12 @@
 //
 // The policy hot loops run on the columnar ScheduleState of
 // sim/schedule_state.h (blocked+pruned MCT scan, flat 4-ary pull heap);
-// run_bag_of_tasks_reference keeps the scalar/priority_queue kernels as
-// the golden oracle, bit-identical to the fast path. run_policy_sweep
-// executes a whole policy x population x task-count grid in parallel with
-// per-cell deterministic seeding.
+// BagOfTasksConfig::backend = kScalar runs the retained scalar /
+// priority_queue / full-walk kernels instead, the golden oracles,
+// bit-identical to the fast path. run_policy_sweep executes a whole
+// policy x population x task-count grid in parallel with per-cell
+// deterministic seeding; run_bag_of_tasks is the grid of one cell, so
+// both derive what a cell reads in one place.
 //
 // The churn policy family (kChurnEct*) replaces the scalar derate with
 // the event-driven src/churn/ subsystem: completion times come from
@@ -67,14 +69,10 @@ struct BagOfTasksConfig {
   /// `availability_coupling.speed_rho` produces the fast-but-flaky
   /// population. Applies to the scalar derate, the churn timeline and a
   /// replicated run's crash model alike, so all see the same coupled
-  /// realizations; run_policy_sweep refuses it when no cell draws one
-  /// (PolicySweepConfig::draws_availability).
+  /// realizations; run_bag_of_tasks and run_policy_sweep refuse it when
+  /// no cell draws one (PolicySweepConfig::draws_availability).
   bool availability_coupled = false;
   churn::AvailabilityCoupling availability_coupling;
-
-  /// Start interval streams in the stationary state instead of always-ON
-  /// (synth::StartMode::kStationary); default off keeps existing streams.
-  bool availability_stationary_start = false;
 
   /// Resident session-lookahead depth of the churn ECT kernel, in
   /// [1, churn::kMaxLookaheadLevels] (validated up front like the other
@@ -190,41 +188,30 @@ AvailabilityRealization realize_availability(std::span<const double> speed,
                                              const BagOfTasksConfig& config,
                                              util::Rng& rng);
 
-/// The base speed column — max(1, cores x whetstone) per host, no
-/// availability treatment, no rng consumption. This is BOTH the rate
-/// column the schedulers start from and the speed column
-/// realize_availability couples against; callers that draw a
-/// realization themselves (the shared-realization overload below) must
-/// use this helper so their draw matches the internal one.
+/// The base speed column — max(1, cores x whetstone) per host in one
+/// multiply sweep over the columns, no availability treatment, no rng
+/// consumption. This is BOTH the rate column the schedulers start from
+/// and the speed column realize_availability couples against; callers
+/// that draw a realization themselves (the shared-realization overload
+/// below) must use this helper so their draw matches the internal one.
 std::vector<double> base_host_rates(const HostResourcesSoA& hosts);
 
-/// Per-host processing rates in MIPS (cores x whetstone, floored at 1),
-/// derated by a sampled availability fraction when the overlay is on
-/// (per-host coupled parameters when availability_coupled is set).
-/// Exposed for the equivalence tests: both overloads consume `rng`
-/// identically (only when model_availability is set: the optional copula
-/// draws, then one fork per host in host order), so the SoA path is
-/// bit-identical to the AoS path. The SoA overload fills the base rates
-/// in one multiply sweep over the cores/whetstone columns before the
-/// derating pass.
-std::vector<double> compute_host_rates(std::span<const HostResources> hosts,
-                                       const BagOfTasksConfig& config,
-                                       util::Rng& rng);
+/// Per-host processing rates in MIPS (base_host_rates), derated by
+/// max(0.01, fraction) from realize_availability when model_availability
+/// is set — the rate column a derate cell schedules on. Consumes `rng`
+/// only then, exactly as realize_availability does.
 std::vector<double> compute_host_rates(const HostResourcesSoA& hosts,
                                        const BagOfTasksConfig& config,
                                        util::Rng& rng);
 
-/// Runs the bag of tasks over `hosts` with the given policy. Tasks are
-/// sampled once from `config` using `rng`, so two policies can be compared
-/// on identical workloads by passing equally seeded generators.
-/// Throws std::invalid_argument if `hosts` is empty or the config is
-/// degenerate.
-BagOfTasksResult run_bag_of_tasks(std::span<const HostResources> hosts,
-                                  const BagOfTasksConfig& config,
-                                  SchedulingPolicy policy, util::Rng& rng);
-
-/// Columnar overload: identical semantics and rng consumption, computing
-/// the per-host rates straight from the SoA columns (no AoS conversion).
+/// Runs the bag of tasks over `hosts` with the given policy: the one-cell
+/// run_policy_sweep grid, seeded by `rng` instead of Rng(workload_seed),
+/// with `rng` left where the cell's stream ends. It draws availability
+/// first when the run consumes a draw (a churn policy, a replicated run or
+/// model_availability), then samples the tasks, so two policies can be
+/// compared on identical workloads by passing equally seeded generators.
+/// Throws std::invalid_argument if `hosts` is empty or the config is one
+/// run_policy_sweep refuses.
 BagOfTasksResult run_bag_of_tasks(const HostResourcesSoA& hosts,
                                   const BagOfTasksConfig& config,
                                   SchedulingPolicy policy, util::Rng& rng);
@@ -233,27 +220,15 @@ BagOfTasksResult run_bag_of_tasks(const HostResourcesSoA& hosts,
 /// availability draw instead of drawing one, so variants of a pure
 /// performance knob (e.g. churn_lookahead_levels) — or any set of runs
 /// that must stay draw-comparable — consume ONE realization by
-/// construction. `rng` only samples the workload. Derate policies
-/// multiply the base rates by `availability.fractions` (requires
-/// model_availability); churn policies walk `availability.timeline`.
-/// Throws std::invalid_argument when the realization does not cover the
-/// hosts (or is missing the piece the policy needs).
+/// construction. `rng` only samples the workload. The realization must
+/// carry `fractions` under model_availability (derate policies multiply
+/// the base rates by them) and a `timeline` for churn policies and
+/// replicated runs, which walk it. Throws std::invalid_argument when a
+/// piece the run needs is missing or does not cover the hosts.
 BagOfTasksResult run_bag_of_tasks(const HostResourcesSoA& hosts,
                                   const AvailabilityRealization& availability,
                                   const BagOfTasksConfig& config,
                                   SchedulingPolicy policy, util::Rng& rng);
-
-/// Same contract, but the dynamic policies run on the retained reference
-/// kernels (scalar ECT scan, std::priority_queue pull) instead of the
-/// blocked/d-ary ones. Bit-identical to run_bag_of_tasks — the golden
-/// oracle for tests/sim/ and the baseline for bench/perf_microbench.
-BagOfTasksResult run_bag_of_tasks_reference(
-    std::span<const HostResources> hosts, const BagOfTasksConfig& config,
-    SchedulingPolicy policy, util::Rng& rng);
-BagOfTasksResult run_bag_of_tasks_reference(const HostResourcesSoA& hosts,
-                                            const BagOfTasksConfig& config,
-                                            SchedulingPolicy policy,
-                                            util::Rng& rng);
 
 /// One named host population in a policy sweep.
 struct SweepPopulation {
@@ -278,8 +253,9 @@ struct PolicySweepConfig {
   /// True when some cell consumes an availability draw: the scalar
   /// derate (base.model_availability), a churn policy's interval
   /// timeline, or a replicated run's crash model. The one home of the
-  /// coupling rule: run_policy_sweep refuses base.availability_coupled
-  /// when this is false, since nothing would read the coupling.
+  /// coupling rule: run_policy_sweep (and run_bag_of_tasks, its one-cell
+  /// grid) refuses base.availability_coupled when this is false, since
+  /// nothing would read the coupling.
   bool draws_availability() const noexcept;
 };
 
@@ -316,7 +292,8 @@ struct PolicySweepResult {
 /// and deterministically seeded, so the result is identical for any
 /// thread count, and each cell equals its standalone
 /// run_bag_of_tasks(hosts, base with the cell's task count, policy,
-/// Rng(workload_seed)) bit for bit.
+/// Rng(workload_seed)) bit for bit: the standalone run is the grid of
+/// that one cell.
 ///
 /// Warm state is derived once per distinct input before any cell runs,
 /// and cells copy it. An uncoupled availability draw reads only the host

@@ -61,8 +61,8 @@
 namespace resmodel::sim {
 
 /// Replicated run over a churn scheduler (the kChurnEct* policies).
-/// `scheduler` must be freshly constructed over `state` (the usual
-/// run_with_state construction, cursor seed and all); `faults` must cover
+/// `scheduler` must be freshly constructed over `state` (as a bag-of-tasks
+/// cell builds it, from the warm cursor seed); `faults` must cover
 /// the hosts and `tasks` carries the nominal task costs. Host-side
 /// accounting (makespan, busy columns, churn interruptions) lands in the
 /// usual BagOfTasksResult fields; the replication counters in

@@ -14,20 +14,14 @@
 namespace resmodel::sim {
 namespace {
 
-std::vector<HostResources> model_hosts(std::size_t n, std::uint64_t seed) {
+HostResourcesSoA model_hosts(std::size_t n, std::uint64_t seed) {
   const core::HostGenerator gen(core::paper_params());
   util::Rng rng(seed);
-  const auto generated =
-      gen.generate_many(util::ModelDate::from_ymd(2010, 1, 1), n, rng);
-  std::vector<HostResources> hosts;
-  for (const core::GeneratedHost& g : generated) {
-    hosts.push_back({static_cast<double>(g.n_cores), g.memory_mb,
-                     g.dhrystone_mips, g.whetstone_mips, g.disk_avail_gb});
-  }
-  return hosts;
+  return HostResourcesSoA::from_batch(
+      gen.generate_batch(util::ModelDate::from_ymd(2010, 1, 1), n, rng));
 }
 
-std::vector<HostResources> uniform_hosts(std::size_t n, double whet) {
+HostResourcesSoA uniform_hosts(std::size_t n, double whet) {
   std::vector<HostResources> hosts(n);
   for (HostResources& h : hosts) {
     h.cores = 1;
@@ -36,13 +30,13 @@ std::vector<HostResources> uniform_hosts(std::size_t n, double whet) {
     h.memory_mb = 1024;
     h.disk_avail_gb = 10;
   }
-  return hosts;
+  return HostResourcesSoA::from_hosts(hosts);
 }
 
 TEST(BagOfTasks, RejectsBadInputs) {
   util::Rng rng(1);
   BagOfTasksConfig config;
-  EXPECT_THROW(run_bag_of_tasks(std::vector<HostResources>{}, config,
+  EXPECT_THROW(run_bag_of_tasks(HostResourcesSoA{}, config,
                                 SchedulingPolicy::kDynamicPull, rng),
                std::invalid_argument);
   config.task_count = 0;
@@ -168,37 +162,6 @@ TEST(BagOfTasks, DeterministicForFixedSeed) {
   EXPECT_DOUBLE_EQ(a.total_cpu_days, b.total_cpu_days);
 }
 
-TEST(BagOfTasks, SoAOverloadMatchesAoSPath) {
-  // The columnar overload promises identical semantics and rng
-  // consumption: same seed, same hosts => bit-identical results, with and
-  // without the availability overlay (one rng fork per host).
-  const std::vector<HostResources> hosts = model_hosts(120, 9);
-  const HostResourcesSoA soa = HostResourcesSoA::from_hosts(hosts);
-  BagOfTasksConfig config;
-  config.task_count = 800;
-  const SchedulingPolicy policies[] = {
-      SchedulingPolicy::kStaticRoundRobin,
-      SchedulingPolicy::kStaticSpeedWeighted,
-      SchedulingPolicy::kDynamicPull,
-      SchedulingPolicy::kDynamicEct,
-  };
-  for (const bool availability : {false, true}) {
-    config.model_availability = availability;
-    for (const SchedulingPolicy policy : policies) {
-      util::Rng rng_aos(31);
-      util::Rng rng_soa(31);
-      const BagOfTasksResult aos =
-          run_bag_of_tasks(hosts, config, policy, rng_aos);
-      const BagOfTasksResult via_soa =
-          run_bag_of_tasks(soa, config, policy, rng_soa);
-      EXPECT_DOUBLE_EQ(aos.makespan_days, via_soa.makespan_days);
-      EXPECT_DOUBLE_EQ(aos.total_cpu_days, via_soa.total_cpu_days);
-      EXPECT_DOUBLE_EQ(aos.max_host_busy_days, via_soa.max_host_busy_days);
-      EXPECT_EQ(aos.hosts_used, via_soa.hosts_used);
-    }
-  }
-}
-
 void expect_results_identical(const BagOfTasksResult& a,
                               const BagOfTasksResult& b) {
   EXPECT_EQ(a.makespan_days, b.makespan_days);
@@ -213,12 +176,14 @@ void expect_results_identical(const BagOfTasksResult& a,
 TEST(BagOfTasks, FastPathBitIdenticalToReference) {
   // The blocked-MCT, 4-ary-heap and interval-walking kernels promise
   // results bit-identical to the retained scalar / priority_queue /
-  // full-walk reference kernels — for every policy, with and without the
-  // availability overlay, on both entry points.
-  const std::vector<HostResources> hosts = model_hosts(300, 13);
-  const HostResourcesSoA soa = HostResourcesSoA::from_hosts(hosts);
+  // full-walk reference kernels, which backend = kScalar selects — for
+  // every policy, with and without the availability overlay — and both
+  // runs leave the caller's stream at the same place.
+  const HostResourcesSoA hosts = model_hosts(300, 13);
   BagOfTasksConfig config;
   config.task_count = 1500;
+  BagOfTasksConfig scalar = config;
+  scalar.backend = backend::Backend::kScalar;
   const SchedulingPolicy policies[] = {
       SchedulingPolicy::kStaticRoundRobin,
       SchedulingPolicy::kStaticSpeedWeighted,
@@ -230,15 +195,16 @@ TEST(BagOfTasks, FastPathBitIdenticalToReference) {
   };
   for (const bool availability : {false, true}) {
     config.model_availability = availability;
+    scalar.model_availability = availability;
     for (const SchedulingPolicy policy : policies) {
-      util::Rng r1(41), r2(41), r3(41);
-      const BagOfTasksResult fast = run_bag_of_tasks(soa, config, policy, r1);
+      SCOPED_TRACE(to_string(policy));
+      util::Rng fast_rng(41), scalar_rng(41);
+      const BagOfTasksResult fast =
+          run_bag_of_tasks(hosts, config, policy, fast_rng);
       const BagOfTasksResult ref =
-          run_bag_of_tasks_reference(soa, config, policy, r2);
-      const BagOfTasksResult ref_aos =
-          run_bag_of_tasks_reference(hosts, config, policy, r3);
+          run_bag_of_tasks(hosts, scalar, policy, scalar_rng);
       expect_results_identical(fast, ref);
-      expect_results_identical(fast, ref_aos);
+      EXPECT_EQ(fast_rng.next(), scalar_rng.next());
     }
   }
 }
@@ -297,23 +263,31 @@ TEST(BagOfTasks, CoupledAvailabilityMakespanIsMonotoneInRho) {
   }
 }
 
-TEST(BagOfTasks, ComputeHostRatesSoAMatchesAoSStream) {
-  // The batched SoA derating path must consume the rng identically to the
-  // AoS loop: one fork per host, in host order. Identical rate columns
-  // AND identical generator state afterwards.
-  const std::vector<HostResources> hosts = model_hosts(150, 17);
-  const HostResourcesSoA soa = HostResourcesSoA::from_hosts(hosts);
+TEST(BagOfTasks, ComputeHostRatesDeratesByTheRealizedFractions) {
+  // The derated rate column is the base column times max(0.01, fraction)
+  // of the realization the same stream draws, and it leaves the stream
+  // exactly where realize_availability does; without the overlay it is
+  // the base column and consumes nothing.
+  const HostResourcesSoA hosts = model_hosts(150, 17);
   BagOfTasksConfig config;
   config.model_availability = true;
-  util::Rng rng_aos(55), rng_soa(55);
-  const std::vector<double> aos = compute_host_rates(hosts, config, rng_aos);
-  const std::vector<double> via_soa =
-      compute_host_rates(soa, config, rng_soa);
-  ASSERT_EQ(aos.size(), via_soa.size());
-  for (std::size_t h = 0; h < aos.size(); ++h) {
-    EXPECT_EQ(aos[h], via_soa[h]) << "host " << h;
+  util::Rng rates_rng(55), real_rng(55);
+  const std::vector<double> rates =
+      compute_host_rates(hosts, config, rates_rng);
+  const std::vector<double> base = base_host_rates(hosts);
+  const AvailabilityRealization real =
+      realize_availability(base, config, real_rng);
+  ASSERT_EQ(rates.size(), hosts.size());
+  for (std::size_t h = 0; h < rates.size(); ++h) {
+    EXPECT_EQ(rates[h], base[h] * std::max(0.01, real.fractions[h]))
+        << "host " << h;
   }
-  EXPECT_EQ(rng_aos.next(), rng_soa.next());
+  EXPECT_EQ(rates_rng.next(), real_rng.next());
+
+  config.model_availability = false;
+  util::Rng plain_rng(56), untouched(56);
+  EXPECT_EQ(compute_host_rates(hosts, config, plain_rng), base);
+  EXPECT_EQ(plain_rng.next(), untouched.next());
 }
 
 TEST(BagOfTasks, StaticMakespanIsMaxBusyWithoutExtraPass) {
@@ -332,10 +306,8 @@ TEST(BagOfTasks, StaticMakespanIsMaxBusyWithoutExtraPass) {
 
 TEST(PolicySweep, CellsMatchDirectRunsAndThreadCountIsIrrelevant) {
   std::vector<SweepPopulation> populations;
-  populations.push_back(
-      {"small", HostResourcesSoA::from_hosts(model_hosts(80, 25))});
-  populations.push_back(
-      {"large", HostResourcesSoA::from_hosts(model_hosts(130, 26))});
+  populations.push_back({"small", model_hosts(80, 25)});
+  populations.push_back({"large", model_hosts(130, 26)});
 
   PolicySweepConfig sweep;
   sweep.policies = {
@@ -390,8 +362,7 @@ TEST(PolicySweep, ChurnCellsMatchStandaloneWithoutDerateFlag) {
   // from the untouched seed state — both must equal their standalone
   // runs.
   std::vector<SweepPopulation> populations;
-  populations.push_back(
-      {"pop", HostResourcesSoA::from_hosts(model_hosts(90, 28))});
+  populations.push_back({"pop", model_hosts(90, 28)});
   PolicySweepConfig sweep;
   sweep.policies = {SchedulingPolicy::kDynamicEct,
                     SchedulingPolicy::kChurnEctCheckpoint,
@@ -415,8 +386,7 @@ TEST(PolicySweep, ChurnLevelsKnobCellsMatchStandaloneRuns) {
   // non-default depth must still equal their standalone runs bit for
   // bit, at any thread count.
   std::vector<SweepPopulation> populations;
-  populations.push_back(
-      {"pop", HostResourcesSoA::from_hosts(model_hosts(80, 29))});
+  populations.push_back({"pop", model_hosts(80, 29)});
   PolicySweepConfig sweep;
   sweep.policies = {SchedulingPolicy::kChurnEctCheckpoint,
                     SchedulingPolicy::kChurnEctRestart};
@@ -442,14 +412,22 @@ TEST(PolicySweep, ChurnLevelsKnobCellsMatchStandaloneRuns) {
 // --- Warm-state sharing ---------------------------------------------------
 
 /// Every cell of `grid` equals its standalone run_bag_of_tasks, the
-/// replication outcome included.
+/// replication outcome included. A cell that draws no availability
+/// cannot read a coupling, so its standalone run has it cleared (a
+/// standalone run would refuse it).
 void expect_cells_match_standalone(
     const std::vector<SweepPopulation>& populations,
     const PolicySweepConfig& sweep, const PolicySweepResult& grid) {
   ASSERT_EQ(grid.cells.size(), populations.size() * sweep.policies.size() *
                                    sweep.task_counts.size());
   for (const PolicySweepCell& cell : grid.cells) {
-    BagOfTasksConfig direct = sweep.base;
+    PolicySweepConfig one_cell;
+    one_cell.policies = {sweep.policies[cell.policy]};
+    one_cell.base = sweep.base;
+    if (!one_cell.draws_availability()) {
+      one_cell.base.availability_coupled = false;
+    }
+    BagOfTasksConfig direct = one_cell.base;
     direct.task_count = sweep.task_counts[cell.task_count];
     SCOPED_TRACE("population " + std::to_string(cell.population) +
                  ", policy " + to_string(sweep.policies[cell.policy]) +
@@ -475,12 +453,9 @@ void expect_cells_match_standalone(
 /// Two distinct populations of 90 hosts and one of 120.
 std::vector<SweepPopulation> sharing_populations() {
   std::vector<SweepPopulation> populations;
-  populations.push_back(
-      {"a90", HostResourcesSoA::from_hosts(model_hosts(90, 41))});
-  populations.push_back(
-      {"b90", HostResourcesSoA::from_hosts(model_hosts(90, 42))});
-  populations.push_back(
-      {"c120", HostResourcesSoA::from_hosts(model_hosts(120, 43))});
+  populations.push_back({"a90", model_hosts(90, 41)});
+  populations.push_back({"b90", model_hosts(90, 42)});
+  populations.push_back({"c120", model_hosts(120, 43)});
   return populations;
 }
 
@@ -595,8 +570,7 @@ TEST(BagOfTasks, SharedRealizationOverloadMatchesStandalone) {
   // draw-inside path exactly: same availability stream, same task
   // stream, for churn and derate policies alike. This is the contract
   // that keeps knob sweeps (e.g. churn-levels variants) draw-comparable.
-  const HostResourcesSoA hosts =
-      HostResourcesSoA::from_hosts(model_hosts(70, 31));
+  const HostResourcesSoA hosts = model_hosts(70, 31);
   BagOfTasksConfig config;
   config.task_count = 120;
   config.model_availability = true;
@@ -613,12 +587,12 @@ TEST(BagOfTasks, SharedRealizationOverloadMatchesStandalone) {
     const auto outside =
         run_bag_of_tasks(hosts, real, config, policy, outside_rng);
     expect_results_identical(inside, outside);
+    EXPECT_EQ(inside_rng.next(), outside_rng.next());
   }
 }
 
 TEST(BagOfTasks, SharedRealizationOverloadValidatesCoverage) {
-  const HostResourcesSoA hosts =
-      HostResourcesSoA::from_hosts(model_hosts(30, 32));
+  const HostResourcesSoA hosts = model_hosts(30, 32);
   BagOfTasksConfig config;
   config.task_count = 10;
   config.model_availability = true;
@@ -632,10 +606,34 @@ TEST(BagOfTasks, SharedRealizationOverloadValidatesCoverage) {
                std::invalid_argument);
 }
 
+TEST(BagOfTasks, CouplingWithoutADrawIsRefused) {
+  // A standalone run is the one-cell sweep, so it refuses a coupling no
+  // draw would read: pull, static or plain ECT without the derate or
+  // replication. A policy that draws availability accepts it.
+  const HostResourcesSoA hosts = model_hosts(40, 34);
+  BagOfTasksConfig config;
+  config.task_count = 60;
+  config.availability_coupled = true;
+  config.availability_coupling.speed_rho = -0.5;
+  util::Rng rng(8);
+  for (const SchedulingPolicy policy :
+       {SchedulingPolicy::kStaticRoundRobin,
+        SchedulingPolicy::kStaticSpeedWeighted,
+        SchedulingPolicy::kDynamicPull, SchedulingPolicy::kDynamicEct}) {
+    SCOPED_TRACE(to_string(policy));
+    EXPECT_THROW(run_bag_of_tasks(hosts, config, policy, rng),
+                 std::invalid_argument);
+  }
+  EXPECT_NO_THROW(run_bag_of_tasks(hosts, config,
+                                   SchedulingPolicy::kChurnEctCheckpoint, rng));
+  config.model_availability = true;
+  EXPECT_NO_THROW(
+      run_bag_of_tasks(hosts, config, SchedulingPolicy::kDynamicPull, rng));
+}
+
 TEST(PolicySweep, AvailabilityCouplingNeedsACellThatDrawsAvailability) {
   std::vector<SweepPopulation> populations;
-  populations.push_back(
-      {"pop", HostResourcesSoA::from_hosts(model_hosts(600, 33))});
+  populations.push_back({"pop", model_hosts(600, 33)});
   PolicySweepConfig sweep;
   sweep.policies = {SchedulingPolicy::kDynamicEct};
   sweep.task_counts = {900};
@@ -666,8 +664,7 @@ TEST(PolicySweep, AvailabilityCouplingNeedsACellThatDrawsAvailability) {
 
 TEST(PolicySweep, RejectsEmptyAxesAndPopulations) {
   std::vector<SweepPopulation> populations;
-  populations.push_back(
-      {"ok", HostResourcesSoA::from_hosts(model_hosts(10, 27))});
+  populations.push_back({"ok", model_hosts(10, 27)});
   PolicySweepConfig sweep;
   sweep.policies = {SchedulingPolicy::kDynamicEct};
   sweep.task_counts = {10};

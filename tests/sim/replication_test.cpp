@@ -18,17 +18,11 @@
 namespace resmodel::sim {
 namespace {
 
-std::vector<HostResources> model_hosts(std::size_t n, std::uint64_t seed) {
+HostResourcesSoA model_hosts(std::size_t n, std::uint64_t seed) {
   const core::HostGenerator gen(core::paper_params());
   util::Rng rng(seed);
-  const auto generated =
-      gen.generate_many(util::ModelDate::from_ymd(2010, 1, 1), n, rng);
-  std::vector<HostResources> hosts;
-  for (const core::GeneratedHost& g : generated) {
-    hosts.push_back({static_cast<double>(g.n_cores), g.memory_mb,
-                     g.dhrystone_mips, g.whetstone_mips, g.disk_avail_gb});
-  }
-  return hosts;
+  return HostResourcesSoA::from_batch(
+      gen.generate_batch(util::ModelDate::from_ymd(2010, 1, 1), n, rng));
 }
 
 BagOfTasksConfig replicated_config(std::uint32_t quorum,
@@ -255,9 +249,8 @@ TEST(Replication, ScalarOracleMatchesFastPathAcrossReissueRounds) {
 }
 
 TEST(Replication, SweepOutcomesAreThreadCountInvariant) {
-  const auto host_vec = model_hosts(120, 13);
   std::vector<SweepPopulation> pops;
-  pops.push_back({"P", HostResourcesSoA::from_hosts(host_vec)});
+  pops.push_back({"P", model_hosts(120, 13)});
 
   PolicySweepConfig sweep;
   sweep.policies = {SchedulingPolicy::kDynamicEct,
