@@ -605,7 +605,7 @@ BENCHMARK(BM_PullKernelDaryHeap)->Arg(10000)->Arg(100000)->Arg(1000000)
 // The interval-walking kernels in isolation (prebuilt state + timeline,
 // no availability realization or task sampling in the timed region).
 // Mode 0 is the shipping kernel (float32 envelope gate, kAuto backend —
-// the widest SIMD arm the CPU offers), mode 3 the full-walk scalar
+// the AVX2 arm when the CPU offers it), mode 3 the full-walk scalar
 // oracle, mode 4 the same gate through the blocked (autovectorized) arm.
 // Modes 1 and 2 were gate ablations that no longer exist; their numbers
 // are retired, not reused. All modes produce bit-identical schedules;
@@ -656,8 +656,8 @@ BENCHMARK(BM_ChurnKernel)
 // vs the explicit-SIMD intrinsic arms, same inputs, bit-identical
 // results (the counters and makespans below are the cross-arm identity
 // witness tools/compare_bench.py checks). Arm arg: 0 = blocked, 1 =
-// simd (resolved against the CPU; on hardware without AVX2/AVX-512 the
-// simd request falls back to blocked and the label says so).
+// simd (resolved against the CPU; on hardware without AVX2 the simd
+// request falls back to blocked and the label says so).
 
 backend::Backend bench_backend(benchmark::State& state, int arm) {
   if (arm == 0) {

@@ -5,39 +5,18 @@
 
 namespace resmodel::backend {
 
-CpuFeatures detect_cpu() noexcept {
-  CpuFeatures f;
-#if defined(__x86_64__) || defined(__i386__)
-  f.avx2 = __builtin_cpu_supports("avx2");
-  f.avx512 = __builtin_cpu_supports("avx512f") &&
-             __builtin_cpu_supports("avx512dq") &&
-             __builtin_cpu_supports("avx512bw") &&
-             __builtin_cpu_supports("avx512vl");
-#endif
-  return f;
-}
-
-namespace {
-
-CpuFeatures masked_cpu() noexcept {
-  CpuFeatures f = detect_cpu();
-  const char* env = std::getenv("RESMODEL_SIMD");
-  if (env == nullptr) return f;
-  if (std::strcmp(env, "off") == 0) {
-    f.avx2 = false;
-    f.avx512 = false;
-  } else if (std::strcmp(env, "avx2") == 0) {
-    f.avx512 = false;
-  }
-  // "avx512" / "native" / anything else: no cap. The variable can only
-  // narrow what CPUID reports — it never fakes a missing extension.
-  return f;
-}
-
-}  // namespace
-
 CpuFeatures effective_cpu() noexcept {
-  static const CpuFeatures cached = masked_cpu();
+  static const CpuFeatures cached = [] {
+    CpuFeatures f;
+#if defined(__x86_64__) || defined(__i386__)
+    f.avx2 = __builtin_cpu_supports("avx2");
+#endif
+    // "off" masks AVX2; the variable can only narrow what CPUID reports —
+    // it never fakes a missing extension.
+    const char* env = std::getenv("RESMODEL_SIMD");
+    if (env != nullptr && std::strcmp(env, "off") == 0) f.avx2 = false;
+    return f;
+  }();
   return cached;
 }
 
@@ -48,12 +27,9 @@ ResolvedBackend resolve(Backend requested) noexcept {
     case Backend::kBlocked:
       return {Backend::kBlocked, SimdLevel::kNone};
     case Backend::kSimd:
-    case Backend::kAuto: {
-      const CpuFeatures cpu = effective_cpu();
-      if (cpu.avx512) return {Backend::kSimd, SimdLevel::kAvx512};
-      if (cpu.avx2) return {Backend::kSimd, SimdLevel::kAvx2};
+    case Backend::kAuto:
+      if (effective_cpu().avx2) return {Backend::kSimd, SimdLevel::kAvx2};
       return {Backend::kBlocked, SimdLevel::kNone};
-    }
   }
   return {Backend::kBlocked, SimdLevel::kNone};
 }
@@ -72,7 +48,6 @@ std::string to_string(SimdLevel level) {
   switch (level) {
     case SimdLevel::kNone: return "none";
     case SimdLevel::kAvx2: return "avx2";
-    case SimdLevel::kAvx512: return "avx512";
   }
   return "unknown";
 }
@@ -80,15 +55,7 @@ std::string to_string(SimdLevel level) {
 std::string backend_names() { return "auto|scalar|blocked|simd"; }
 
 std::string cpu_feature_string() {
-  const CpuFeatures cpu = effective_cpu();
-  std::string out;
-  if (cpu.avx2) out += "avx2";
-  if (cpu.avx512) {
-    if (!out.empty()) out += ",";
-    out += "avx512f";
-  }
-  if (out.empty()) out = "none";
-  return out;
+  return effective_cpu().avx2 ? "avx2" : "none";
 }
 
 std::optional<Backend> parse_backend(std::string_view name) {

@@ -25,8 +25,8 @@
 //
 // EXACTNESS RULES (what makes every arm bit-identical):
 //  - No fused multiply-add, ever: a * b + c is two roundings in every
-//    arm (the library compiles -ffp-contract=off, the SIMD TUs use
-//    _mm*_mul + _mm*_add — never fmadd).
+//    arm (the library compiles -ffp-contract=off, the AVX2 TU uses
+//    _mm256_mul + _mm256_add — never fmadd).
 //  - Each lane's value is the same expression tree in the same order;
 //    lanes never interact except through min, and IEEE min over
 //    non-NaN data is exact and associative, so 2/4/8-wide reduction
@@ -36,7 +36,7 @@
 //    first-match scans — width changes the schedule, not the answer.
 //
 // Tail handling: ect_block_sweep / column_min / row_bounds_argmin take
-// arbitrary lengths (the SIMD arms run a scalar epilogue); the gate
+// arbitrary lengths (the AVX2 arm runs a scalar epilogue); the gate
 // sweep is a fixed 64-lane block whose tail lanes the gate pads inert
 // (inv = 0, sess/ready/next = +inf), so it has no tail path at all.
 #pragma once
@@ -103,10 +103,8 @@ struct KernelOps {
 };
 
 /// The dispatch table for a resolved SIMD level. kNone returns the
-/// blocked (autovectorized baseline) arm; kAvx2/kAvx512 return the
-/// intrinsic arms — only call those on hardware resolve() selected
-/// them for. The kAvx512 table reuses the AVX2 gate sweep (see
-/// src/backend/README.md for the measurement behind that).
+/// blocked (autovectorized baseline) arm; kAvx2 returns the intrinsic
+/// arm — only call it on hardware resolve() selected it for.
 const KernelOps& kernel_ops(SimdLevel level) noexcept;
 
 }  // namespace resmodel::backend

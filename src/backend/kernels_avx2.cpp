@@ -1,10 +1,22 @@
 // The AVX2 arm: 4-wide double / 8-wide float intrinsic versions of the
-// dispatch kernels, using blends where the AVX-512 arm uses mask
-// registers. Compiled with -mavx2 (plus the library-wide
-// -ffp-contract=off; src/CMakeLists.txt) and only called when resolve()
-// selected it — see kernels_avx512.cpp for the shared bit-identity notes
-// (mul/add only, never fmadd; exact lane-wise min; sentinel-blended index
-// tie-breaks). Its gate sweep also serves the AVX-512 table.
+// four dispatch kernels. Compiled with -mavx2 (plus the library-wide
+// -ffp-contract=off; src/CMakeLists.txt) and only ever CALLED when
+// resolve() saw the AVX2 CPUID bit — nothing in this TU runs at static
+// initialization, so linking it into a baseline binary is safe.
+//
+// Bit-identity notes (the contract is in kernels.h):
+//  - every a * b + c is _mm256_mul + _mm256_add — NEVER _mm256_fmadd:
+//    one rounding per operation, exactly like the -ffp-contract=off
+//    scalar and blocked arms;
+//  - min/compare/blend are exact lane-wise operations, and the data is
+//    NaN-free (all inputs finite or +inf with no inf-minus-inf chains),
+//    so the lane-wise min == std::min lane for lane and the horizontal
+//    reduction matches any sequential min order;
+//  - index tie-breaks compare against the already-reduced minimum for
+//    exact equality: the ECT sweep min-reduces the matching lanes'
+//    order[] entries from a UINT32_MAX sentinel (0 is a valid host
+//    index, so no lane can win by default), and the row argmin takes the
+//    first set bit of the equality mask.
 #include "backend/kernels_internal.h"
 
 #if defined(__AVX2__)
@@ -17,7 +29,7 @@
 
 namespace resmodel::backend {
 
-namespace detail {
+namespace {
 
 void gate_sweep_avx2(const GateBlockView& v, float t, float* lb) {
   const __m256 vt = _mm256_set1_ps(t);
@@ -55,10 +67,6 @@ void gate_sweep_avx2(const GateBlockView& v, float t, float* lb) {
     }
   }
 }
-
-}  // namespace detail
-
-namespace {
 
 inline double reduce_min_pd(__m256d v) noexcept {
   __m128d m = _mm_min_pd(_mm256_castpd256_pd128(v),
@@ -154,7 +162,7 @@ constexpr KernelOps kAvx2Ops = {
     &ect_block_sweep_avx2,
     &column_min_avx2,
     &row_bounds_argmin_avx2,
-    &detail::gate_sweep_avx2,
+    &gate_sweep_avx2,
 };
 
 }  // namespace

@@ -127,8 +127,6 @@ const KernelOps& kernel_ops(SimdLevel level) noexcept {
   switch (level) {
     case SimdLevel::kAvx2:
       return detail::avx2_ops();
-    case SimdLevel::kAvx512:
-      return detail::avx512_ops();
     case SimdLevel::kNone:
       break;
   }

@@ -103,7 +103,7 @@ struct ChurnSchedulerConfig {
   /// wider columns).
   std::size_t lookahead_levels = 8;
   /// Compute backend for the column sweeps (src/backend/README.md):
-  /// kAuto picks the widest SIMD arm the CPU offers; kScalar routes
+  /// kAuto picks the AVX2 arm when the CPU offers it; kScalar routes
   /// run() onto run_reference(). Like every other knob here, the
   /// schedule is bit-identical across settings.
   backend::Backend backend = backend::Backend::kAuto;

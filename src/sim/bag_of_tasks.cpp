@@ -27,6 +27,10 @@ bool is_churn_policy(SchedulingPolicy policy) noexcept {
   }
 }
 
+// Every availability draw covers the same window: the derate fractions
+// are measured over it and the churn timeline is generated over it.
+constexpr double kAvailabilityHorizonDays = 100.0;
+
 bool PolicySweepConfig::draws_availability() const noexcept {
   return base.model_availability || base.replicated_run() ||
          std::ranges::any_of(policies, is_churn_policy);
@@ -42,11 +46,6 @@ bool PolicySweepConfig::draws_availability() const noexcept {
 AvailabilityRealization realize_availability(std::span<const double> speed,
                                              const BagOfTasksConfig& config,
                                              util::Rng& rng) {
-  if (!(config.availability_horizon_days > 0.0)) {
-    throw std::invalid_argument(
-        "realize_availability: non-positive availability horizon");
-  }
-  const double horizon = config.availability_horizon_days;
   AvailabilityRealization real;
   churn::IntervalTimeline timeline;
   if (config.availability_coupled) {
@@ -56,15 +55,17 @@ AvailabilityRealization realize_availability(std::span<const double> speed,
     const std::vector<synth::AvailabilityParams> params =
         churn::couple_availability_to_speed(
             speed, config.availability, config.availability_coupling, rng);
-    timeline = churn::IntervalTimeline::generate(params, 0.0, horizon, rng);
+    timeline = churn::IntervalTimeline::generate(
+        params, 0.0, kAvailabilityHorizonDays, rng);
   } else {
     const synth::AvailabilityModel model(config.availability);
     timeline = churn::IntervalTimeline::generate(model, speed.size(), 0.0,
-                                                 horizon, rng);
+                                                 kAvailabilityHorizonDays,
+                                                 rng);
   }
   real.fractions.resize(speed.size());
   for (std::size_t h = 0; h < speed.size(); ++h) {
-    real.fractions[h] = timeline.fraction(h, 0.0, horizon);
+    real.fractions[h] = timeline.fraction(h, 0.0, kAvailabilityHorizonDays);
   }
   real.timeline =
       std::make_shared<const churn::IntervalTimeline>(std::move(timeline));

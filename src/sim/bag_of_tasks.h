@@ -56,12 +56,11 @@ struct BagOfTasksConfig {
   double task_cost_cv = 0.5;  ///< coefficient of variation of task cost
 
   /// When true, each host's rate is derated by an availability fraction
-  /// sampled from the alternating-renewal model over `horizon_days`.
+  /// sampled from the alternating-renewal model over a 100-day horizon.
   /// The churn policies ignore this flag: they always model availability
   /// through the interval timeline itself.
   bool model_availability = false;
   synth::AvailabilityParams availability;
-  double availability_horizon_days = 100.0;
 
   /// When true, each host's availability parameters are rank-coupled to
   /// its speed through an extra copula dimension (see
@@ -84,7 +83,7 @@ struct BagOfTasksConfig {
   std::size_t churn_lookahead_levels = 8;
 
   /// Kernel-dispatch arm for the dynamic hot loops (src/backend/): kAuto
-  /// picks the widest SIMD level the CPU (and RESMODEL_SIMD) allows,
+  /// picks the AVX2 arm when the CPU (and RESMODEL_SIMD) allows it,
   /// kScalar routes the dynamic policies onto the retained reference
   /// kernels. Pure performance knob — every arm is bit-identical, so
   /// results never depend on it. CLI: `sweep --backend=...`.
@@ -182,8 +181,7 @@ struct AvailabilityRealization {
 /// dimension-2 copula draw per host iff config.availability_coupled, then
 /// one fork per host in host order — a superset of the historical derate
 /// stream, identical to it when coupling is off. Throws
-/// std::invalid_argument on invalid availability/coupling parameters or a
-/// non-positive horizon.
+/// std::invalid_argument on invalid availability/coupling parameters.
 AvailabilityRealization realize_availability(std::span<const double> speed,
                                              const BagOfTasksConfig& config,
                                              util::Rng& rng);

@@ -68,7 +68,7 @@ struct ScheduleState {
   static constexpr std::size_t kBlockSize = 64;
 
   /// Compute backend for the blocked kernels (src/backend/README.md):
-  /// kAuto picks the widest SIMD arm the CPU offers, kScalar routes
+  /// kAuto picks the AVX2 arm when the CPU offers it, kScalar routes
   /// ect_schedule_blocked onto the reference oracle. Every setting
   /// returns the same schedule bit for bit.
   backend::Backend backend = backend::Backend::kAuto;

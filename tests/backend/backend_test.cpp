@@ -5,15 +5,16 @@
 // lanes).
 //
 // Arm coverage adapts to the machine: the SIMD levels exercised are the
-// ones backend::effective_cpu() admits, so the same test binary is the
-// forced-scalar CI leg under RESMODEL_SIMD=off and the full AVX-512
-// matrix on hardware that has it.
+// ones backend::effective_cpu() admits, so the same test binary checks
+// the blocked arm alone under RESMODEL_SIMD=off (CI's "off" leg) and the
+// blocked and AVX2 arms on hardware that has AVX2.
 #include "backend/kernels.h"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
 #include <limits>
 #include <span>
 #include <string>
@@ -39,9 +40,7 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 /// arm — is always present.
 std::vector<SimdLevel> testable_levels() {
   std::vector<SimdLevel> levels = {SimdLevel::kNone};
-  const CpuFeatures cpu = effective_cpu();
-  if (cpu.avx2) levels.push_back(SimdLevel::kAvx2);
-  if (cpu.avx512) levels.push_back(SimdLevel::kAvx512);
+  if (effective_cpu().avx2) levels.push_back(SimdLevel::kAvx2);
   return levels;
 }
 
@@ -55,7 +54,7 @@ TEST(BackendResolve, ParseRoundTripsEveryName) {
     EXPECT_EQ(*parsed, b);
   }
   EXPECT_FALSE(parse_backend("").has_value());
-  EXPECT_FALSE(parse_backend("avx512").has_value());
+  EXPECT_FALSE(parse_backend("avx2").has_value());
   EXPECT_FALSE(parse_backend("Scalar").has_value());
 }
 
@@ -71,18 +70,30 @@ TEST(BackendResolve, ResolutionContract) {
   // The explicit arms pass through untouched.
   EXPECT_EQ(resolve(Backend::kScalar).arm, Backend::kScalar);
   EXPECT_EQ(resolve(Backend::kBlocked).arm, Backend::kBlocked);
-  // kAuto and kSimd agree: both take the widest level or fall back.
+  // kAuto and kSimd agree: both take AVX2 or fall back.
   const ResolvedBackend a = resolve(Backend::kAuto);
   const ResolvedBackend s = resolve(Backend::kSimd);
   EXPECT_EQ(a.arm, s.arm);
   EXPECT_EQ(a.simd, s.simd);
-  const CpuFeatures cpu = effective_cpu();
-  if (cpu.avx512) {
-    EXPECT_EQ(s.simd, SimdLevel::kAvx512);
-  } else if (cpu.avx2) {
+  if (effective_cpu().avx2) {
     EXPECT_EQ(s.simd, SimdLevel::kAvx2);
   } else {
     EXPECT_EQ(s.arm, Backend::kBlocked);
+  }
+}
+
+// effective_cpu() cannot refuse a RESMODEL_SIMD value, so an unknown one
+// would silently run the native arm. CI's "off" leg is the only
+// whole-suite run of the blocked fallback: a mistyped matrix value must
+// fail here instead of turning that leg into a second native run.
+TEST(BackendResolve, SimdMaskIsAKnownValue) {
+  const char* env = std::getenv("RESMODEL_SIMD");
+  if (env == nullptr) return;
+  const std::string value = env;
+  EXPECT_TRUE(value == "off" || value == "native")
+      << "RESMODEL_SIMD=" << value << "; the known values are off and native";
+  if (value == "off") {
+    EXPECT_FALSE(effective_cpu().avx2);
   }
 }
 
@@ -150,12 +161,23 @@ TEST(KernelArms, ColumnMinMatchesBlocked) {
   for (double& v : x) v = rng.uniform() * 100.0 - 50.0;
   x[200] = x[11];  // planted duplicate of some value
   const KernelOps& blocked = kernel_ops(SimdLevel::kNone);
+  // The callers' lengths at 100k hosts: 64-lane blocks and the 32-lane
+  // last block (per-block refresh), 16- and 11-block groups (the churn
+  // gate's group summary). Each runs on the random column and again with
+  // its last entry lowered below the rest, so for lengths off the 4-lane
+  // grid the minimum sits in the scalar tail.
   for (const std::size_t len :
-       {std::size_t{1}, std::size_t{7}, std::size_t{64}, x.size()}) {
-    const double want = blocked.column_min(x.data(), len);
-    for (const SimdLevel level : testable_levels()) {
-      EXPECT_EQ(kernel_ops(level).column_min(x.data(), len), want)
-          << to_string(level) << " len " << len;
+       {std::size_t{1}, std::size_t{7}, std::size_t{11}, std::size_t{16},
+        std::size_t{32}, std::size_t{64}, x.size()}) {
+    for (const bool tail_min : {false, true}) {
+      std::vector<double> col = x;
+      if (tail_min) col[len - 1] = -100.0;
+      const double want = blocked.column_min(col.data(), len);
+      for (const SimdLevel level : testable_levels()) {
+        EXPECT_EQ(kernel_ops(level).column_min(col.data(), len), want)
+            << to_string(level) << " len " << len << " tail_min "
+            << tail_min;
+      }
     }
   }
 }
@@ -177,26 +199,44 @@ TEST(KernelArms, RowBoundsArgminReturnsFirstMinimum) {
           << to_string(level) << " block " << b;
     }
   }
-  // Lengths around the vector width, random values, vs blocked.
+  // Lengths around the vector width and the callers' lengths at 100k
+  // hosts (11- and 16-block groups, the 98-group row, the 1563-block
+  // row), random values, vs blocked. Each length also runs with exact
+  // equal minima planted on both sides of a 4-lane chunk boundary and in
+  // the scalar tail (at n = 98 the lanes 92..95 are the last full chunk
+  // and 96..97 the tail).
   util::Rng rng(44);
-  std::vector<double> long_row(100), long_inv(100);
+  std::vector<double> long_row(1563), long_inv(1563);
   for (std::size_t i = 0; i < long_row.size(); ++i) {
     long_row[i] = rng.uniform() * 50.0;
     long_inv[i] = 0.01 + rng.uniform();
   }
   const KernelOps& blocked = kernel_ops(SimdLevel::kNone);
-  for (const std::size_t n :
-       {std::size_t{1}, std::size_t{5}, std::size_t{8}, std::size_t{9},
-        std::size_t{100}}) {
-    std::vector<double> want_bounds(n);
-    const std::uint32_t want = blocked.row_bounds_argmin(
-        long_row.data(), long_inv.data(), 2.5, n, want_bounds.data());
-    for (const SimdLevel level : testable_levels()) {
-      std::vector<double> got_bounds(n);
-      const std::uint32_t got = kernel_ops(level).row_bounds_argmin(
-          long_row.data(), long_inv.data(), 2.5, n, got_bounds.data());
-      EXPECT_EQ(got, want) << to_string(level) << " n " << n;
-      EXPECT_EQ(got_bounds, want_bounds) << to_string(level) << " n " << n;
+  const std::vector<std::vector<std::size_t>> plants = {
+      {}, {94, 97}, {95, 96}, {97}};
+  for (const std::vector<std::size_t>& plant : plants) {
+    std::vector<double> prow = long_row, pinv = long_inv;
+    for (const std::size_t i : plant) {
+      prow[i] = -10.0;  // bound -8.75: below every random bound
+      pinv[i] = 0.5;
+    }
+    for (const std::size_t n :
+         {std::size_t{1}, std::size_t{5}, std::size_t{8}, std::size_t{9},
+          std::size_t{11}, std::size_t{16}, std::size_t{98},
+          std::size_t{100}, long_row.size()}) {
+      std::vector<double> want_bounds(n);
+      const std::uint32_t want = blocked.row_bounds_argmin(
+          prow.data(), pinv.data(), 2.5, n, want_bounds.data());
+      if (!plant.empty() && n > plant.front()) {
+        EXPECT_EQ(want, plant.front()) << "n " << n;
+      }
+      for (const SimdLevel level : testable_levels()) {
+        std::vector<double> got_bounds(n);
+        const std::uint32_t got = kernel_ops(level).row_bounds_argmin(
+            prow.data(), pinv.data(), 2.5, n, got_bounds.data());
+        EXPECT_EQ(got, want) << to_string(level) << " n " << n;
+        EXPECT_EQ(got_bounds, want_bounds) << to_string(level) << " n " << n;
+      }
     }
   }
 }

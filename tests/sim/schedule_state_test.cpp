@@ -157,7 +157,6 @@ TEST(EctSelector, MatchesScalarOracleBitwiseUnderUpdates) {
   using backend::SimdLevel;
   std::vector<SimdLevel> levels = {SimdLevel::kNone};
   if (backend::effective_cpu().avx2) levels.push_back(SimdLevel::kAvx2);
-  if (backend::effective_cpu().avx512) levels.push_back(SimdLevel::kAvx512);
   const auto half_steps = [](util::Rng& rng, std::uint64_t n) {
     return 0.5 * static_cast<double>(rng.uniform_index(n));
   };

@@ -909,9 +909,9 @@ Verb serve_verb() {
 
 int run_backends(const Args&, std::ostream& out) {
   // cpu_feature_string reflects effective_cpu(), i.e. detection AFTER the
-  // RESMODEL_SIMD cap — what dispatch actually sees, not raw CPUID.
+  // RESMODEL_SIMD mask — what dispatch actually sees, not raw CPUID.
   out << "cpu features: " << backend::cpu_feature_string()
-      << " (RESMODEL_SIMD=off|avx2|avx512|native caps detection)\n";
+      << " (RESMODEL_SIMD=off masks AVX2, native does not)\n";
   util::Table table({"Requested", "Resolves to"});
   for (const backend::Backend b :
        {backend::Backend::kAuto, backend::Backend::kScalar,
