@@ -45,7 +45,19 @@ ClientShard::ClientShard(const ShardParams& params,
     births.push_back({clients_.back().next_contact_day,
                       static_cast<std::uint32_t>(births.size())});
   }
-  heap_.build(std::move(births));
+  build_tiles(births);
+}
+
+void ClientShard::build_tiles(std::span<const Event> events) {
+  tiles_.resize((size() + kTile - 1) / kTile);
+  auto first = events.begin();
+  for (std::size_t t = 0; t < tiles_.size(); ++t) {
+    const auto last = std::partition_point(
+        first, events.end(),
+        [end = (t + 1) * kTile](const Event& ev) { return ev.client < end; });
+    tiles_[t].build({first, last});
+    first = last;
+  }
 }
 
 template <typename Shard, typename Io>
@@ -131,7 +143,9 @@ void ClientShard::serialize_state(std::vector<std::byte>& out) const {
         "checkpoints must land on a day barrier after take_day_records()");
   }
   std::vector<std::uint8_t> in_heap(size(), 0);
-  for (const Event& ev : heap_.entries()) in_heap[ev.client] = 1;
+  for (const EventHeap& tile : tiles_) {
+    for (const Event& ev : tile.entries()) in_heap[ev.client] = 1;
+  }
   StateWriter w(out);
   state_fields(*this, w, in_heap);
 }
@@ -147,13 +161,13 @@ ClientShard::ClientShard(const ShardParams& params,
   r.expect_end();
 
   // Every live event's day equals its client's next_contact_day, and pop
-  // order is a total order over the contents, so build() from the flagged
-  // clients reproduces the exact drain sequence.
+  // order is a total order over a tile's contents, so building the tiles
+  // from the flagged clients reproduces the exact drain sequence.
   std::vector<Event> live;
   for (std::uint32_t i = 0; i < in_heap.size(); ++i) {
     if (in_heap[i]) live.push_back({clients_[i].next_contact_day, i});
   }
-  heap_.build(std::move(live));
+  build_tiles(live);
 
   // The blob predates any damage the store could detect, but a cheap
   // consistency recount catches format drift before a drain would
@@ -204,34 +218,47 @@ void ClientShard::contact_step(std::uint32_t i) {
 }
 
 void ClientShard::drain(double day_end) {
+  // Each tile drains to day_end on its own (clients never interact). Its
+  // order check starts from the shard's last event before this call, and
+  // one batch counter spans the tiles, as it spanned the single heap.
+  const Event anchor = prev_event_;
+  const bool anchored = have_prev_event_;
   std::uint32_t in_batch = 0;
-  while (!heap_.empty() && heap_.min().day < day_end) {
-    const Event ev = heap_.min();
-    if (have_prev_event_ && !fires_before(prev_event_, ev)) {
-      throw std::logic_error(
-          "ClientShard: event order regressed — the heap popped an event "
-          "at or before the previous (day, client)");
-    }
-    prev_event_ = ev;
-    have_prev_event_ = true;
+  for (EventHeap& heap : tiles_) {
+    Event prev = anchor;
+    bool have_prev = anchored;
+    while (!heap.empty() && heap.min().day < day_end) {
+      const Event ev = heap.min();
+      if (have_prev && !fires_before(prev, ev)) {
+        throw std::logic_error(
+            "ClientShard: event order regressed — the heap popped an event "
+            "at or before the previous (day, client)");
+      }
+      prev = ev;
+      have_prev = true;
 
-    // The oracle's liveness check: events past the window or the client's
-    // death day are dropped, and a dead client is never rescheduled.
-    if (ev.day <= params_.limit_day && ev.day <= death_day_[ev.client]) {
-      contact_step(ev.client);
-      const double next = clients_[ev.client].next_contact_day;
-      if (next <= death_day_[ev.client]) {
-        heap_.replace_min({next, ev.client});
+      // The oracle's liveness check: events past the window or the client's
+      // death day are dropped, and a dead client is never rescheduled.
+      if (ev.day <= params_.limit_day && ev.day <= death_day_[ev.client]) {
+        contact_step(ev.client);
+        const double next = clients_[ev.client].next_contact_day;
+        if (next <= death_day_[ev.client]) {
+          heap.replace_min({next, ev.client});
+        } else {
+          heap.pop_min();
+        }
+        if (++in_batch == params_.batch_size) {
+          check_conservation();
+          ++totals_.batches_drained;
+          in_batch = 0;
+        }
       } else {
-        heap_.pop_min();
+        heap.pop_min();
       }
-      if (++in_batch == params_.batch_size) {
-        check_conservation();
-        ++totals_.batches_drained;
-        in_batch = 0;
-      }
-    } else {
-      heap_.pop_min();
+    }
+    if (have_prev && (!have_prev_event_ || fires_before(prev_event_, prev))) {
+      prev_event_ = prev;
+      have_prev_event_ = true;
     }
   }
   if (in_batch > 0) {

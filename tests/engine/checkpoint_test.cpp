@@ -30,6 +30,7 @@
 #include "engine/service_engine.h"
 #include "store/fault_injection.h"
 #include "store/snapshot.h"
+#include "util/checksum.h"
 #include "util/model_date.h"
 
 namespace resmodel::engine {
@@ -205,6 +206,23 @@ TEST(EngineCheckpoint, ResumeBitIdenticalAcrossShardThreadFaultGrid) {
       }
     }
   }
+}
+
+TEST(EngineCheckpoint, MultiTileShardResumesAndPinsItsCheckpointBytes) {
+  // One shard of 2600 clients drains as three event-heap tiles: two full
+  // tiles and a 552-client tail. The other scenarios fit in one tile.
+  EngineConfig config =
+      cohort_config(/*seed=*/2600, /*fault_mix=*/1, /*replication=*/true);
+  config.cohort_clients = 2600;
+  config.shards = 1;
+  const std::string path = temp_path("multi_tile.snap");
+  expect_resume_equals_uninterrupted(config, /*stop_day=*/4, path);
+
+  // The day-4 epoch's CRC32C, recorded from the single-heap drain that
+  // tiling replaced: the in_heap column, the last popped event and the
+  // batch count serialize exactly as one heap over the shard wrote them.
+  const std::string bytes = read_file(path);
+  EXPECT_EQ(util::crc32c(bytes.data(), bytes.size()), 0xee5649f8u);
 }
 
 TEST(EngineCheckpoint, ResumeBitIdenticalInArrivalMode) {

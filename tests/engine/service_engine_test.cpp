@@ -269,29 +269,34 @@ TEST(ServiceEngine, QuorumOutcomeConservesAndIsShardInvariant) {
 }
 
 TEST(ServiceEngine, CohortModeIsDeterministicAcrossShardsAndThreads) {
-  EngineConfig config;
-  config.collection.client.mean_contact_interval_days = 2.0;
-  config.cohort_clients = 500;
-  config.cohort_horizon_days = 7.0;
-  config.collection.fault_mix.straggler_fraction = 0.2;
-  config.shards = 1;
+  // At 2600 clients the one-shard run drains three event-heap tiles (two
+  // full ones and a 552-client tail) against one tile per shard at 5.
+  for (const std::uint32_t clients : {500u, 2600u}) {
+    SCOPED_TRACE(::testing::Message() << clients << " clients");
+    EngineConfig config;
+    config.collection.client.mean_contact_interval_days = 2.0;
+    config.cohort_clients = clients;
+    config.cohort_horizon_days = 7.0;
+    config.collection.fault_mix.straggler_fraction = 0.2;
+    config.shards = 1;
 
-  const EngineResult a = run_service_engine(config);
-  EXPECT_EQ(a.hosts_created, 500u);
-  EXPECT_EQ(a.trace.size(), 500u);  // everyone contacts on day 0
-  EXPECT_GE(a.total_contacts, 500u);
-  EXPECT_TRUE(a.conserves_units());
+    const EngineResult a = run_service_engine(config);
+    EXPECT_EQ(a.hosts_created, clients);
+    EXPECT_EQ(a.trace.size(), clients);  // everyone contacts on day 0
+    EXPECT_GE(a.total_contacts, clients);
+    EXPECT_TRUE(a.conserves_units());
 
-  config.shards = 5;
-  config.threads = 3;
-  const EngineResult b = run_service_engine(config);
-  EXPECT_EQ(b.total_contacts, a.total_contacts);
-  EXPECT_EQ(b.total_units_granted, a.total_units_granted);
-  EXPECT_EQ(b.total_credit_granted, a.total_credit_granted);
-  EXPECT_EQ(b.units_in_flight, a.units_in_flight);
-  ASSERT_EQ(b.trace.size(), a.trace.size());
-  for (std::size_t i = 0; i < a.trace.size(); ++i) {
-    expect_same_record(b.trace.host(i), a.trace.host(i));
+    config.shards = 5;
+    config.threads = 3;
+    const EngineResult b = run_service_engine(config);
+    EXPECT_EQ(b.total_contacts, a.total_contacts);
+    EXPECT_EQ(b.total_units_granted, a.total_units_granted);
+    EXPECT_EQ(b.total_credit_granted, a.total_credit_granted);
+    EXPECT_EQ(b.units_in_flight, a.units_in_flight);
+    ASSERT_EQ(b.trace.size(), a.trace.size());
+    for (std::size_t i = 0; i < a.trace.size(); ++i) {
+      expect_same_record(b.trace.host(i), a.trace.host(i));
+    }
   }
 }
 

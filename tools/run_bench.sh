@@ -4,8 +4,9 @@
 #
 #   tools/run_bench.sh [extra google-benchmark flags...]
 #
-# Output lands in bench_results/BENCH_<utc-date>_<git-sha>.json so
-# successive PRs accumulate a comparable series (same machine assumed).
+# Output lands in bench_results/BENCH_<utc-date>_<git-sha>.json (with a
+# -dirty suffix on the sha over an uncommitted tree) so successive PRs
+# accumulate a comparable series (same machine assumed).
 #
 # The recorded JSON must come from a Release build of *our* code: the
 # script forces CMAKE_BUILD_TYPE=Release (overriding any stale cache) and
@@ -39,6 +40,12 @@ cmake --build "$build_dir" --target perf_microbench -j "$(nproc)"
 mkdir -p "$out_dir"
 stamp="$(date -u +%Y%m%d)"
 sha="$(git -C "$repo_root" rev-parse --short HEAD 2>/dev/null || echo nogit)"
+# A run over a modified tree measures that tree, not the commit: say so in
+# the name. Untracked files count; ignored ones (build trees) do not.
+if [[ "$sha" != nogit && -n "$(git -C "$repo_root" status --porcelain)" ]]
+then
+  sha="$sha-dirty"
+fi
 out_file="$out_dir/BENCH_${stamp}_${sha}.json"
 
 # The record is written to a .tmp and only renamed into place once every
