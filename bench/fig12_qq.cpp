@@ -19,7 +19,7 @@ int main() {
   const trace::ResourceSnapshot actual =
       bench::bench_trace().snapshot(sep2010);
   util::Rng rng(7);
-  const core::GeneratedColumns cols = core::columns_of(
+  const trace::ResourceSnapshot cols = core::columns_of(
       generator.generate_batch(sep2010, actual.size(), rng));
 
   struct Panel {

@@ -214,9 +214,11 @@ void BM_RoundRobinAllocationAoS(benchmark::State& state) {
   const core::HostGenerator generator(core::paper_params());
   util::Rng rng(8);
   const std::vector<sim::HostResources> hosts =
-      sim::to_host_resources(generator.generate_batch(
-          util::ModelDate::from_ymd(2010, 1, 1),
-          static_cast<std::size_t>(state.range(0)), rng));
+      sim::HostResourcesSoA::from_batch(
+          generator.generate_batch(util::ModelDate::from_ymd(2010, 1, 1),
+                                   static_cast<std::size_t>(state.range(0)),
+                                   rng))
+          .to_hosts();
   for (auto _ : state) {
     benchmark::DoNotOptimize(
         sim::allocate_round_robin_reference(sim::paper_applications(), hosts));

@@ -55,7 +55,7 @@ int main(int argc, char** argv) {
   }
   sample.print(std::cout);
 
-  const core::GeneratedColumns cols = core::columns_of(hosts);
+  const trace::ResourceSnapshot cols = core::columns_of(hosts);
   std::cout << "\nBatch statistics:\n";
   util::Table summary({"Resource", "Mean", "Stddev", "Median"});
   const auto row = [&summary](const std::string& name,

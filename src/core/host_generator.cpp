@@ -18,7 +18,7 @@ namespace {
 // The paper's Figure 12 shows the same effect absorbed into the CDF tail.
 constexpr double kMinMips = 25.0;
 
-// Chunk size of the deterministic parallel engines. Each chunk gets its own
+// Chunk size of the deterministic parallel engine. Each chunk gets its own
 // (seed, chunk)-derived stream, so results are thread-count invariant.
 constexpr std::size_t kChunk = 4096;
 
@@ -30,7 +30,12 @@ std::uint64_t chunk_seed(std::uint64_t seed, std::size_t chunk) noexcept {
 // Everything about a target date the per-host loop would otherwise
 // recompute: the two discrete pmfs, the benchmark moments and the
 // moment-matched disk log-normal.
-struct HostGenerator::DateContext {
+//
+// Cache-line aligned and padded: generate_batch_parallel's workers read it
+// per host from the calling thread's frame, where that thread, worker 0,
+// also keeps the Rng it writes on every draw. Sharing a line with that Rng
+// bounces the line between cores and halves the batch's throughput.
+struct alignas(64) HostGenerator::DateContext {
   double t;
   std::vector<double> cores_pmf;
   std::vector<double> memory_pmf;
@@ -99,12 +104,6 @@ std::vector<GeneratedHost> HostGenerator::generate_many(
     hosts.push_back(generate(date, rng));
   }
   return hosts;
-}
-
-std::vector<GeneratedHost> HostGenerator::generate_many_parallel(
-    util::ModelDate date, std::size_t count, std::uint64_t seed,
-    int threads) const {
-  return generate_batch_parallel(date, count, seed, threads).to_hosts();
 }
 
 HostGenerator::DateContext HostGenerator::date_context(
@@ -192,34 +191,8 @@ GeneratedHost GeneratedHostBatch::host(std::size_t i) const noexcept {
                        dhrystone_mips[i], disk_avail_gb[i]};
 }
 
-std::vector<GeneratedHost> GeneratedHostBatch::to_hosts() const {
-  std::vector<GeneratedHost> hosts;
-  hosts.reserve(size());
-  for (std::size_t i = 0; i < size(); ++i) hosts.push_back(host(i));
-  return hosts;
-}
-
-GeneratedColumns columns_of(const std::vector<GeneratedHost>& hosts) {
-  GeneratedColumns cols;
-  cols.cores.reserve(hosts.size());
-  cols.memory_mb.reserve(hosts.size());
-  cols.memory_per_core_mb.reserve(hosts.size());
-  cols.whetstone_mips.reserve(hosts.size());
-  cols.dhrystone_mips.reserve(hosts.size());
-  cols.disk_avail_gb.reserve(hosts.size());
-  for (const GeneratedHost& h : hosts) {
-    cols.cores.push_back(static_cast<double>(h.n_cores));
-    cols.memory_mb.push_back(h.memory_mb);
-    cols.memory_per_core_mb.push_back(h.memory_per_core_mb);
-    cols.whetstone_mips.push_back(h.whetstone_mips);
-    cols.dhrystone_mips.push_back(h.dhrystone_mips);
-    cols.disk_avail_gb.push_back(h.disk_avail_gb);
-  }
-  return cols;
-}
-
-GeneratedColumns columns_of(const GeneratedHostBatch& batch) {
-  GeneratedColumns cols;
+trace::ResourceSnapshot columns_of(const GeneratedHostBatch& batch) {
+  trace::ResourceSnapshot cols;
   cols.cores.assign(batch.n_cores.begin(), batch.n_cores.end());
   cols.memory_mb = batch.memory_mb;
   cols.memory_per_core_mb = batch.memory_per_core_mb;

@@ -13,12 +13,11 @@
 //      date's predicted moments;
 //   6. total memory = per-core memory x cores.
 //
-// Two execution engines share those semantics:
-//   - generate()/generate_many(): one host at a time, recomputing the
-//     date-dependent tables per call (convenient, slow);
-//   - generate_batch()/generate_batch_parallel(): the structure-of-arrays
-//     engine — hoists every t-dependent quantity out of the loop and fills
-//     contiguous per-field columns, bit-identical to the per-host path.
+// generate_batch()/generate_batch_parallel() are the engine: they hoist
+// every t-dependent quantity out of the loop and fill the columns of a
+// GeneratedHostBatch. generate()/generate_many() run the flowchart one
+// host at a time, recomputing the date's tables per call; they are the
+// oracle the batch engine is tested against, bit for bit.
 #pragma once
 
 #include <cstdint>
@@ -27,6 +26,7 @@
 
 #include "core/model_params.h"
 #include "model/correlation_model.h"
+#include "trace/trace_store.h"
 #include "util/model_date.h"
 #include "util/rng.h"
 
@@ -59,9 +59,6 @@ struct GeneratedHostBatch {
 
   /// Row i as an AoS host.
   GeneratedHost host(std::size_t i) const noexcept;
-
-  /// AoS copy for the legacy consumers.
-  std::vector<GeneratedHost> to_hosts() const;
 };
 
 /// Generates hosts from a ModelParams. Immutable after construction;
@@ -83,19 +80,12 @@ class HostGenerator {
     return *correlation_;
   }
 
+  /// The per-host oracle (see the file comment).
   GeneratedHost generate(util::ModelDate date, util::Rng& rng) const;
 
   std::vector<GeneratedHost> generate_many(util::ModelDate date,
                                            std::size_t count,
                                            util::Rng& rng) const;
-
-  /// Multi-threaded AoS generation, kept for existing callers; delegates
-  /// to the batched engine and converts. Output is a pure function of
-  /// (date, count, seed), identical for any thread count.
-  std::vector<GeneratedHost> generate_many_parallel(util::ModelDate date,
-                                                    std::size_t count,
-                                                    std::uint64_t seed,
-                                                    int threads = 0) const;
 
   /// The SoA fast path: precomputes the date's pmfs/moments once and fills
   /// the batch columns. Consumes `rng` exactly like generate() host by
@@ -123,17 +113,8 @@ class HostGenerator {
   std::shared_ptr<const model::CorrelationModel> correlation_;
 };
 
-/// Column views over a set of generated hosts (for validation and
-/// correlation analysis).
-struct GeneratedColumns {
-  std::vector<double> cores;
-  std::vector<double> memory_mb;
-  std::vector<double> memory_per_core_mb;
-  std::vector<double> whetstone_mips;
-  std::vector<double> dhrystone_mips;
-  std::vector<double> disk_avail_gb;
-};
-GeneratedColumns columns_of(const std::vector<GeneratedHost>& hosts);
-GeneratedColumns columns_of(const GeneratedHostBatch& batch);
+/// The batch as the six double columns of a trace snapshot (cores
+/// widened to double), for analysis code that reads either.
+trace::ResourceSnapshot columns_of(const GeneratedHostBatch& batch);
 
 }  // namespace resmodel::core

@@ -50,26 +50,6 @@ double two_sample_ks(std::vector<double> a, std::vector<double> b) {
 }
 
 std::vector<ResourceComparison> compare_resources(
-    const trace::ResourceSnapshot& actual, const GeneratedColumns& cols) {
-  std::vector<ResourceComparison> out;
-  out.push_back(compare_one("Cores", actual.cores, cols.cores));
-  out.push_back(compare_one("Memory (MB)", actual.memory_mb, cols.memory_mb));
-  out.push_back(compare_one("Whetstone MIPS", actual.whetstone_mips,
-                            cols.whetstone_mips));
-  out.push_back(compare_one("Dhrystone MIPS", actual.dhrystone_mips,
-                            cols.dhrystone_mips));
-  out.push_back(
-      compare_one("Avail Disk (GB)", actual.disk_avail_gb, cols.disk_avail_gb));
-  return out;
-}
-
-std::vector<ResourceComparison> compare_resources(
-    const trace::ResourceSnapshot& actual,
-    const std::vector<GeneratedHost>& generated) {
-  return compare_resources(actual, columns_of(generated));
-}
-
-std::vector<ResourceComparison> compare_resources(
     const trace::ResourceSnapshot& actual, const GeneratedHostBatch& generated) {
   // Only the cores column needs int -> double conversion; the batch's
   // other columns are consumed in place (no six-column copy).
@@ -86,18 +66,6 @@ std::vector<ResourceComparison> compare_resources(
   out.push_back(compare_one("Avail Disk (GB)", actual.disk_avail_gb,
                             generated.disk_avail_gb));
   return out;
-}
-
-stats::Matrix generated_correlation_matrix(const GeneratedColumns& cols) {
-  return resource_correlation_matrix(cols.cores, cols.memory_mb,
-                                     cols.memory_per_core_mb,
-                                     cols.whetstone_mips, cols.dhrystone_mips,
-                                     cols.disk_avail_gb);
-}
-
-stats::Matrix generated_correlation_matrix(
-    const std::vector<GeneratedHost>& generated) {
-  return generated_correlation_matrix(columns_of(generated));
 }
 
 stats::Matrix generated_correlation_matrix(const GeneratedHostBatch& generated) {

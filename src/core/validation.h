@@ -28,18 +28,10 @@ struct ResourceComparison {
 /// Compares the five modeled resources (cores, memory, whetstone,
 /// dhrystone, disk) of a generated host set against an actual snapshot.
 std::vector<ResourceComparison> compare_resources(
-    const trace::ResourceSnapshot& actual, const GeneratedColumns& generated);
-std::vector<ResourceComparison> compare_resources(
-    const trace::ResourceSnapshot& actual,
-    const std::vector<GeneratedHost>& generated);
-std::vector<ResourceComparison> compare_resources(
     const trace::ResourceSnapshot& actual, const GeneratedHostBatch& generated);
 
 /// Table-VIII machinery: the 6x6 correlation matrix over
 /// {cores, memory, mem/core, whet, dhry, disk} of a generated host set.
-stats::Matrix generated_correlation_matrix(const GeneratedColumns& generated);
-stats::Matrix generated_correlation_matrix(
-    const std::vector<GeneratedHost>& generated);
 stats::Matrix generated_correlation_matrix(const GeneratedHostBatch& generated);
 
 /// Two-sample KS statistic sup |F1 - F2|.

@@ -187,14 +187,6 @@ AllocationResult allocate_round_robin(std::span<const ApplicationSpec> apps,
       });
 }
 
-AllocationResult allocate_round_robin(std::span<const ApplicationSpec> apps,
-                                      std::span<const HostResources> hosts) {
-  if (apps.empty()) {
-    throw std::invalid_argument("allocate_round_robin: no applications");
-  }
-  return allocate_round_robin(apps, HostResourcesSoA::from_hosts(hosts));
-}
-
 AllocationResult allocate_round_robin_reference(
     std::span<const ApplicationSpec> apps,
     std::span<const HostResources> hosts) {

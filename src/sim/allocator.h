@@ -49,11 +49,6 @@ AllocationResult allocate_round_robin(
     std::span<const ApplicationSpec> apps, const HostResourcesSoA& hosts,
     int threads = 0, backend::Backend backend = backend::Backend::kAuto);
 
-/// AoS entry point, kept for the existing tests and small callers: thin
-/// wrapper that transposes into a HostResourcesSoA and delegates.
-AllocationResult allocate_round_robin(std::span<const ApplicationSpec> apps,
-                                      std::span<const HostResources> hosts);
-
 /// The pre-SoA implementation — per-pair std::pow utilities and a
 /// comparator index sort — retained as the benchmark baseline and as the
 /// golden oracle for the SoA equivalence tests. Same deterministic

@@ -14,38 +14,6 @@ constexpr double kMinMemoryMb = 64.0;
 constexpr double kMinDiskGb = 0.01;
 }  // namespace
 
-std::vector<HostResources> to_host_resources(
-    const trace::ResourceSnapshot& snapshot) {
-  std::vector<HostResources> out;
-  out.reserve(snapshot.size());
-  for (std::size_t i = 0; i < snapshot.size(); ++i) {
-    HostResources h;
-    h.cores = snapshot.cores[i];
-    h.memory_mb = snapshot.memory_mb[i];
-    h.whetstone_mips = snapshot.whetstone_mips[i];
-    h.dhrystone_mips = snapshot.dhrystone_mips[i];
-    h.disk_avail_gb = snapshot.disk_avail_gb[i];
-    out.push_back(h);
-  }
-  return out;
-}
-
-std::vector<HostResources> to_host_resources(
-    const core::GeneratedHostBatch& batch) {
-  std::vector<HostResources> out;
-  out.reserve(batch.size());
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    HostResources h;
-    h.cores = static_cast<double>(batch.n_cores[i]);
-    h.memory_mb = batch.memory_mb[i];
-    h.whetstone_mips = batch.whetstone_mips[i];
-    h.dhrystone_mips = batch.dhrystone_mips[i];
-    h.disk_avail_gb = batch.disk_avail_gb[i];
-    out.push_back(h);
-  }
-  return out;
-}
-
 // ------------------------------------------------------- CorrelatedModel --
 
 CorrelatedModel::CorrelatedModel(core::ModelParams params)
@@ -57,12 +25,6 @@ CorrelatedModel::CorrelatedModel(
     std::string display_name)
     : generator_(std::move(params), std::move(correlation)),
       name_(std::move(display_name)) {}
-
-std::vector<HostResources> CorrelatedModel::synthesize(util::ModelDate date,
-                                                       std::size_t count,
-                                                       util::Rng& rng) const {
-  return to_host_resources(generator_.generate_batch(date, count, rng));
-}
 
 HostResourcesSoA CorrelatedModel::synthesize_soa(util::ModelDate date,
                                                  std::size_t count,
@@ -113,19 +75,7 @@ NormalDistributionModel NormalDistributionModel::fit(
                                  trends[4]);
 }
 
-std::vector<HostResources> NormalDistributionModel::synthesize(
-    util::ModelDate date, std::size_t count, util::Rng& rng) const {
-  return synthesize_columns(date, count, rng).to_hosts();
-}
-
 HostResourcesSoA NormalDistributionModel::synthesize_soa(
-    util::ModelDate date, std::size_t count, util::Rng& rng) const {
-  HostResourcesSoA out = synthesize_columns(date, count, rng);
-  out.precompute_logs();
-  return out;
-}
-
-HostResourcesSoA NormalDistributionModel::synthesize_columns(
     util::ModelDate date, std::size_t count, util::Rng& rng) const {
   const double t = date.t();
   const auto eval = [t](const LinearTrend& trend) {
@@ -144,8 +94,7 @@ HostResourcesSoA NormalDistributionModel::synthesize_columns(
 
   HostResourcesSoA out;
   out.resize(count);
-  // Row loop, column writes: draw order matches the old per-host AoS loop,
-  // so the same seed yields the same hosts.
+  // Row loop, column writes: each host takes its five draws in a row.
   for (std::size_t i = 0; i < count; ++i) {
     // Cores must be a positive integer; round the normal draw.
     out.cores[i] = std::max(1.0, std::round(rng.normal(cores_m, cores_sd)));
@@ -154,6 +103,7 @@ HostResourcesSoA NormalDistributionModel::synthesize_columns(
     out.dhrystone_mips[i] = std::max(kMinMips, rng.normal(dhry_m, dhry_sd));
     out.disk_avail_gb[i] = disk_dist.sample(rng);
   }
+  out.precompute_logs();
   return out;
 }
 
@@ -169,21 +119,9 @@ GridResourceModel::GridResourceModel(core::ModelParams params,
   params_.validate();
 }
 
-std::vector<HostResources> GridResourceModel::synthesize(
-    util::ModelDate date, std::size_t count, util::Rng& rng) const {
-  return synthesize_columns(date, count, rng).to_hosts();
-}
-
 HostResourcesSoA GridResourceModel::synthesize_soa(util::ModelDate date,
                                                    std::size_t count,
                                                    util::Rng& rng) const {
-  HostResourcesSoA out = synthesize_columns(date, count, rng);
-  out.precompute_logs();
-  return out;
-}
-
-HostResourcesSoA GridResourceModel::synthesize_columns(
-    util::ModelDate date, std::size_t count, util::Rng& rng) const {
   const double t_now = date.t();
   HostResourcesSoA out;
   out.resize(count);
@@ -229,6 +167,7 @@ HostResourcesSoA GridResourceModel::synthesize_columns(
         stats::LogNormalDist::from_moments(capacity_mean, capacity_var)
             .sample(rng);
   }
+  out.precompute_logs();
   return out;
 }
 

@@ -20,7 +20,6 @@
 #include "core/model_params.h"
 #include "model/correlation_model.h"
 #include "sim/host_soa.h"
-#include "sim/utility.h"
 #include "stats/regression.h"
 #include "trace/trace_store.h"
 #include "util/model_date.h"
@@ -33,19 +32,12 @@ class HostSynthesisModel {
  public:
   virtual ~HostSynthesisModel() = default;
   virtual std::string name() const = 0;
-  virtual std::vector<HostResources> synthesize(util::ModelDate date,
-                                                std::size_t count,
-                                                util::Rng& rng) const = 0;
 
-  /// Columnar synthesis for the allocation hot path. Consumes `rng`
-  /// exactly like synthesize(), so both paths draw identical hosts; the
-  /// default wraps synthesize() for external models, and every in-repo
-  /// model overrides it to fill columns without an AoS detour.
+  /// `count` hosts for `date`, drawn from `rng`, with the log columns the
+  /// allocator reads already filled.
   virtual HostResourcesSoA synthesize_soa(util::ModelDate date,
                                           std::size_t count,
-                                          util::Rng& rng) const {
-    return HostResourcesSoA::from_hosts(synthesize(date, count, rng));
-  }
+                                          util::Rng& rng) const = 0;
 };
 
 /// The paper's generative model with a pluggable dependence structure.
@@ -60,9 +52,6 @@ class CorrelatedModel final : public HostSynthesisModel {
                   std::shared_ptr<const model::CorrelationModel> correlation,
                   std::string display_name);
   std::string name() const override { return name_; }
-  std::vector<HostResources> synthesize(util::ModelDate date,
-                                        std::size_t count,
-                                        util::Rng& rng) const override;
   HostResourcesSoA synthesize_soa(util::ModelDate date, std::size_t count,
                                   util::Rng& rng) const override;
 
@@ -90,17 +79,10 @@ class NormalDistributionModel final : public HostSynthesisModel {
                                      const std::vector<util::ModelDate>& dates);
 
   std::string name() const override { return "Normal Distribution Model"; }
-  std::vector<HostResources> synthesize(util::ModelDate date,
-                                        std::size_t count,
-                                        util::Rng& rng) const override;
   HostResourcesSoA synthesize_soa(util::ModelDate date, std::size_t count,
                                   util::Rng& rng) const override;
 
  private:
-  /// The raw-column fill shared by both synthesis paths (no log columns).
-  HostResourcesSoA synthesize_columns(util::ModelDate date, std::size_t count,
-                                      util::Rng& rng) const;
-
   LinearTrend cores_, memory_, whetstone_, dhrystone_, disk_;
 };
 
@@ -115,28 +97,13 @@ class GridResourceModel final : public HostSynthesisModel {
                     double mean_avail_disk_fraction = 0.5);
 
   std::string name() const override { return "Grid Model"; }
-  std::vector<HostResources> synthesize(util::ModelDate date,
-                                        std::size_t count,
-                                        util::Rng& rng) const override;
   HostResourcesSoA synthesize_soa(util::ModelDate date, std::size_t count,
                                   util::Rng& rng) const override;
 
  private:
-  /// The raw-column fill shared by both synthesis paths (no log columns).
-  HostResourcesSoA synthesize_columns(util::ModelDate date, std::size_t count,
-                                      util::Rng& rng) const;
-
   core::ModelParams params_;
   double mean_lifetime_years_;
   double mean_avail_fraction_;
 };
-
-/// Converts a trace snapshot into the allocator's host representation.
-std::vector<HostResources> to_host_resources(
-    const trace::ResourceSnapshot& snapshot);
-
-/// Converts a generated SoA batch into the allocator's host representation.
-std::vector<HostResources> to_host_resources(
-    const core::GeneratedHostBatch& batch);
 
 }  // namespace resmodel::sim

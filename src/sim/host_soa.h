@@ -65,7 +65,7 @@ struct HostResourcesSoA {
   /// Row i as an AoS host.
   HostResources host(std::size_t i) const noexcept;
 
-  /// AoS copy for the legacy consumers.
+  /// AoS copy for the pow-based oracle (allocate_round_robin_reference).
   std::vector<HostResources> to_hosts() const;
 
   /// Column moves/copies from a generated SoA batch (cores widen to
@@ -75,8 +75,7 @@ struct HostResourcesSoA {
   /// Column copies from a trace snapshot.
   static HostResourcesSoA from_snapshot(const trace::ResourceSnapshot& snap);
 
-  /// Transposes an AoS host list (the compatibility adapter behind the
-  /// span<HostResources> allocator entry point).
+  /// Transposes a literal host list (tests and hand-built host sets).
   static HostResourcesSoA from_hosts(std::span<const HostResources> hosts);
 };
 

@@ -72,15 +72,6 @@ util::ModelDate effective_hardware_date(const PopulationConfig& config,
                                     config.resource_lead_years);
 }
 
-trace::HostRecord sample_host(const PopulationConfig& config,
-                              const core::HostGenerator& generator,
-                              util::ModelDate created, std::uint64_t id,
-                              util::Rng& rng) {
-  const core::GeneratedHost hw =
-      generator.generate(effective_hardware_date(config, created), rng);
-  return finish_host(config, hw, created, id, rng);
-}
-
 trace::HostRecord finish_host(const PopulationConfig& config,
                               const core::GeneratedHost& hw,
                               util::ModelDate created, std::uint64_t id,

@@ -17,14 +17,6 @@ trace::TraceStore generate_population(const PopulationConfig& config);
 /// approximation above 30). Exposed for tests.
 std::uint64_t sample_poisson(util::Rng& rng, double mean);
 
-/// Samples one host created at `created` according to the config.
-/// Exposed so the BOINC substrate can create clients with the same
-/// hardware population.
-trace::HostRecord sample_host(const PopulationConfig& config,
-                              const core::HostGenerator& generator,
-                              util::ModelDate created, std::uint64_t id,
-                              util::Rng& rng);
-
 /// The date hardware is sampled at for hosts created at `created`
 /// (creation + lead; see population_config.h).
 util::ModelDate effective_hardware_date(const PopulationConfig& config,

@@ -73,33 +73,21 @@ TEST(GeneratedHostBatch, ParallelThreadCountInvariant) {
   }
 }
 
-TEST(GeneratedHostBatch, ParallelMatchesLegacyAoSParallel) {
-  const auto date = util::ModelDate::from_ymd(2010, 3, 1);
-  const GeneratedHostBatch batch =
-      paper_generator().generate_batch_parallel(date, 9000, 5, 4);
-  const std::vector<GeneratedHost> aos =
-      paper_generator().generate_many_parallel(date, 9000, 5, 2);
-  ASSERT_EQ(batch.size(), aos.size());
-  for (std::size_t i = 0; i < aos.size(); ++i) {
-    expect_same_host(batch.host(i), aos[i], i);
-  }
-}
-
-TEST(GeneratedHostBatch, ToHostsAndColumnsAgree) {
+TEST(GeneratedHostBatch, ColumnsOfMatchesRows) {
   const auto date = util::ModelDate::from_ymd(2008, 1, 1);
   util::Rng rng(43);
   const GeneratedHostBatch batch =
       paper_generator().generate_batch(date, 500, rng);
-  const std::vector<GeneratedHost> hosts = batch.to_hosts();
-  const GeneratedColumns from_batch = columns_of(batch);
-  const GeneratedColumns from_hosts = columns_of(hosts);
-  ASSERT_EQ(from_batch.cores.size(), from_hosts.cores.size());
-  for (std::size_t i = 0; i < hosts.size(); ++i) {
-    ASSERT_DOUBLE_EQ(from_batch.cores[i], from_hosts.cores[i]);
-    ASSERT_DOUBLE_EQ(from_batch.memory_per_core_mb[i],
-                     from_hosts.memory_per_core_mb[i]);
-    ASSERT_DOUBLE_EQ(from_batch.disk_avail_gb[i],
-                     from_hosts.disk_avail_gb[i]);
+  const trace::ResourceSnapshot cols = columns_of(batch);
+  ASSERT_EQ(cols.size(), batch.size());
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    const GeneratedHost h = batch.host(i);
+    ASSERT_EQ(cols.cores[i], static_cast<double>(h.n_cores)) << i;
+    ASSERT_EQ(cols.memory_mb[i], h.memory_mb) << i;
+    ASSERT_EQ(cols.memory_per_core_mb[i], h.memory_per_core_mb) << i;
+    ASSERT_EQ(cols.whetstone_mips[i], h.whetstone_mips) << i;
+    ASSERT_EQ(cols.dhrystone_mips[i], h.dhrystone_mips) << i;
+    ASSERT_EQ(cols.disk_avail_gb[i], h.disk_avail_gb) << i;
   }
 }
 
@@ -109,7 +97,7 @@ TEST(GeneratedHostBatch, BatchMomentsTrackLaws) {
   const GeneratedHostBatch batch =
       paper_generator().generate_batch_parallel(date, 50000, 7, 0);
   const double t = date.t();
-  const GeneratedColumns cols = columns_of(batch);
+  const trace::ResourceSnapshot cols = columns_of(batch);
   EXPECT_NEAR(stats::mean(cols.dhrystone_mips), p.dhrystone.mean(t),
               p.dhrystone.mean(t) * 0.03);
   EXPECT_NEAR(stats::mean(cols.whetstone_mips), p.whetstone.mean(t),
@@ -126,7 +114,7 @@ TEST(HostGeneratorCorrelationModels, IndependentRemovesBenchmarkCoupling) {
   util::Rng rng(47);
   const GeneratedHostBatch batch = gen.generate_batch(
       util::ModelDate::from_ymd(2010, 8, 1), 50000, rng);
-  const GeneratedColumns cols = columns_of(batch);
+  const trace::ResourceSnapshot cols = columns_of(batch);
   EXPECT_NEAR(stats::pearson(cols.whetstone_mips, cols.dhrystone_mips), 0.0,
               0.03);
   EXPECT_NEAR(

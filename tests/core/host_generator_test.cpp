@@ -19,6 +19,15 @@ std::vector<GeneratedHost> generate(double year, std::size_t n,
   return gen.generate_many(util::ModelDate::from_year(year), n, rng);
 }
 
+/// The same hosts as generate(), as columns.
+trace::ResourceSnapshot columns(double year, std::size_t n,
+                                std::uint64_t seed) {
+  const HostGenerator gen(paper_params());
+  util::Rng rng(seed);
+  return columns_of(
+      gen.generate_batch(util::ModelDate::from_year(year), n, rng));
+}
+
 TEST(HostGenerator, CoreCountsAreModelValues) {
   const std::set<int> allowed = {1, 2, 4, 8, 16};
   for (const GeneratedHost& h : generate(2010.0, 5000)) {
@@ -51,8 +60,7 @@ TEST(HostGenerator, AllResourcesPositive) {
 TEST(HostGenerator, BenchmarkMomentsTrackLaws) {
   const ModelParams p = paper_params();
   for (double year : {2006.0, 2008.0, 2010.0}) {
-    const auto hosts = generate(year, 40000, 7);
-    const GeneratedColumns cols = columns_of(hosts);
+    const trace::ResourceSnapshot cols = columns(year, 40000, 7);
     const double t = util::ModelDate::from_year(year).t();
     EXPECT_NEAR(stats::mean(cols.dhrystone_mips), p.dhrystone.mean(t),
                 p.dhrystone.mean(t) * 0.03)
@@ -68,8 +76,7 @@ TEST(HostGenerator, BenchmarkMomentsTrackLaws) {
 
 TEST(HostGenerator, DiskMomentsTrackLaws) {
   const ModelParams p = paper_params();
-  const auto hosts = generate(2010.0, 60000, 11);
-  const GeneratedColumns cols = columns_of(hosts);
+  const trace::ResourceSnapshot cols = columns(2010.0, 60000, 11);
   const double t = util::ModelDate::from_year(2010.0).t();
   EXPECT_NEAR(stats::mean(cols.disk_avail_gb), p.disk_gb.mean(t),
               p.disk_gb.mean(t) * 0.05);
@@ -83,8 +90,7 @@ TEST(HostGenerator, ReproducesTableVIIICorrelations) {
   // Exact renormalization keeps whet-dhry at the latent R (0.639; the
   // paper's own generated table shows 0.505 with the same structure), and
   // the discrete mem/core transform attenuates its latent 0.25/0.306.
-  const auto hosts = generate(2010.67, 50000, 13);
-  const GeneratedColumns cols = columns_of(hosts);
+  const trace::ResourceSnapshot cols = columns(2010.67, 50000, 13);
   EXPECT_NEAR(stats::pearson(cols.cores, cols.memory_mb), 0.727, 0.06);
   EXPECT_NEAR(stats::pearson(cols.whetstone_mips, cols.dhrystone_mips), 0.639,
               0.03);
@@ -99,14 +105,13 @@ TEST(HostGenerator, ReproducesTableVIIICorrelations) {
 
 TEST(HostGenerator, MemPerCoreNearlyUncorrelatedWithCores) {
   // §V-E's design goal: per-core memory independent of core count.
-  const auto hosts = generate(2010.0, 50000, 17);
-  const GeneratedColumns cols = columns_of(hosts);
+  const trace::ResourceSnapshot cols = columns(2010.0, 50000, 17);
   EXPECT_NEAR(stats::pearson(cols.cores, cols.memory_per_core_mb), 0.0, 0.03);
 }
 
 TEST(HostGenerator, NewerHostsHaveMoreOfEverything) {
-  const auto old_hosts = columns_of(generate(2006.0, 20000, 19));
-  const auto new_hosts = columns_of(generate(2010.0, 20000, 23));
+  const trace::ResourceSnapshot old_hosts = columns(2006.0, 20000, 19);
+  const trace::ResourceSnapshot new_hosts = columns(2010.0, 20000, 23);
   EXPECT_GT(stats::mean(new_hosts.cores), stats::mean(old_hosts.cores));
   EXPECT_GT(stats::mean(new_hosts.memory_mb),
             stats::mean(old_hosts.memory_mb));
@@ -132,46 +137,20 @@ TEST(HostGenerator, RejectsInvalidParams) {
   EXPECT_THROW(HostGenerator{p}, std::invalid_argument);
 }
 
-TEST(HostGenerator, ParallelGenerationIsThreadCountInvariant) {
-  const HostGenerator gen(paper_params());
-  const auto date = util::ModelDate::from_ymd(2010, 6, 1);
-  const auto one = gen.generate_many_parallel(date, 10000, 99, 1);
-  const auto four = gen.generate_many_parallel(date, 10000, 99, 4);
-  ASSERT_EQ(one.size(), four.size());
-  for (std::size_t i = 0; i < one.size(); ++i) {
-    ASSERT_EQ(one[i].n_cores, four[i].n_cores);
-    ASSERT_DOUBLE_EQ(one[i].whetstone_mips, four[i].whetstone_mips);
-    ASSERT_DOUBLE_EQ(one[i].disk_avail_gb, four[i].disk_avail_gb);
-  }
-}
-
-TEST(HostGenerator, ParallelGenerationMatchesModelMoments) {
-  const HostGenerator gen(paper_params());
-  const auto date = util::ModelDate::from_ymd(2010, 1, 1);
-  const auto hosts = gen.generate_many_parallel(date, 50000, 7, 0);
-  const GeneratedColumns cols = columns_of(hosts);
-  const ModelParams p = paper_params();
-  const double t = date.t();
-  EXPECT_NEAR(stats::mean(cols.dhrystone_mips), p.dhrystone.mean(t),
-              p.dhrystone.mean(t) * 0.03);
-  EXPECT_NEAR(stats::mean(cols.whetstone_mips), p.whetstone.mean(t),
-              p.whetstone.mean(t) * 0.03);
-}
-
 TEST(HostGenerator, ParallelGenerationDifferentSeedsDiffer) {
   const HostGenerator gen(paper_params());
   const auto date = util::ModelDate::from_ymd(2010, 6, 1);
-  const auto a = gen.generate_many_parallel(date, 100, 1, 2);
-  const auto b = gen.generate_many_parallel(date, 100, 2, 2);
+  const GeneratedHostBatch a = gen.generate_batch_parallel(date, 100, 1, 2);
+  const GeneratedHostBatch b = gen.generate_batch_parallel(date, 100, 2, 2);
   int same = 0;
   for (std::size_t i = 0; i < a.size(); ++i) {
-    if (a[i].whetstone_mips == b[i].whetstone_mips) ++same;
+    if (a.whetstone_mips[i] == b.whetstone_mips[i]) ++same;
   }
   EXPECT_LT(same, 5);
 }
 
 TEST(ColumnsOf, EmptyInput) {
-  const GeneratedColumns cols = columns_of(std::vector<GeneratedHost>{});
+  const trace::ResourceSnapshot cols = columns_of(GeneratedHostBatch{});
   EXPECT_TRUE(cols.cores.empty());
   EXPECT_TRUE(cols.disk_avail_gb.empty());
 }

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <fstream>
 #include <numeric>
+#include <sstream>
 
 namespace resmodel::core {
 namespace {
@@ -137,6 +139,22 @@ TEST(ModelParams, SerializationRoundTrip) {
                        p.resource_correlation(r, c));
     }
   }
+}
+
+// tests/core/data/model_v1.txt is a committed model file, written by
+// core::paper_params().serialize(). A reader that refuses it, or a writer
+// that does not reproduce it from what the reader loaded, has changed the
+// model.txt format; so has a paper_params() that no longer serializes to
+// it. Either change re-pins the fixture on purpose.
+TEST(ModelParams, GoldenFixtureLoadsAndRewritesByteIdentically) {
+  std::ifstream in(RESMODEL_MODEL_FIXTURE);
+  ASSERT_TRUE(in.good());
+  std::ostringstream fixture;
+  fixture << in.rdbuf();
+  ASSERT_FALSE(fixture.str().empty());
+  EXPECT_EQ(ModelParams::deserialize(fixture.str()).serialize(),
+            fixture.str());
+  EXPECT_EQ(paper_params().serialize(), fixture.str());
 }
 
 TEST(ModelParams, DeserializeRejectsGarbage) {

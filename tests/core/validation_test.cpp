@@ -8,19 +8,6 @@
 namespace resmodel::core {
 namespace {
 
-trace::ResourceSnapshot snapshot_from(const std::vector<GeneratedHost>& hosts) {
-  trace::ResourceSnapshot snap;
-  for (const GeneratedHost& h : hosts) {
-    snap.cores.push_back(static_cast<double>(h.n_cores));
-    snap.memory_mb.push_back(h.memory_mb);
-    snap.memory_per_core_mb.push_back(h.memory_per_core_mb);
-    snap.whetstone_mips.push_back(h.whetstone_mips);
-    snap.dhrystone_mips.push_back(h.dhrystone_mips);
-    snap.disk_avail_gb.push_back(h.disk_avail_gb);
-  }
-  return snap;
-}
-
 TEST(TwoSampleKs, IdenticalSamplesGiveZero) {
   const std::vector<double> xs = {1, 2, 3, 4, 5};
   EXPECT_DOUBLE_EQ(two_sample_ks(xs, xs), 0.0);
@@ -46,10 +33,9 @@ TEST(CompareResources, SameModelSamplesAreClose) {
   const HostGenerator gen(paper_params());
   util::Rng rng_a(1), rng_b(2);
   const auto date = util::ModelDate::from_ymd(2010, 9, 1);
-  const auto actual = gen.generate_many(date, 20000, rng_a);
-  const auto generated = gen.generate_many(date, 20000, rng_b);
-  const auto comparisons =
-      compare_resources(snapshot_from(actual), generated);
+  const auto actual = gen.generate_batch(date, 20000, rng_a);
+  const auto generated = gen.generate_batch(date, 20000, rng_b);
+  const auto comparisons = compare_resources(columns_of(actual), generated);
   ASSERT_EQ(comparisons.size(), 5u);
   for (const ResourceComparison& c : comparisons) {
     EXPECT_LT(c.mean_diff_fraction, 0.05) << c.name;
@@ -61,11 +47,10 @@ TEST(CompareResources, DetectsDeliberateMismatch) {
   const HostGenerator gen(paper_params());
   util::Rng rng_a(3), rng_b(4);
   const auto actual =
-      gen.generate_many(util::ModelDate::from_ymd(2006, 1, 1), 5000, rng_a);
+      gen.generate_batch(util::ModelDate::from_ymd(2006, 1, 1), 5000, rng_a);
   const auto generated =
-      gen.generate_many(util::ModelDate::from_ymd(2010, 9, 1), 5000, rng_b);
-  const auto comparisons =
-      compare_resources(snapshot_from(actual), generated);
+      gen.generate_batch(util::ModelDate::from_ymd(2010, 9, 1), 5000, rng_b);
+  const auto comparisons = compare_resources(columns_of(actual), generated);
   // Four years of growth: every resource mean should be visibly off.
   for (const ResourceComparison& c : comparisons) {
     EXPECT_GT(c.mean_diff_fraction, 0.10) << c.name;
@@ -76,8 +61,8 @@ TEST(CompareResources, NamesInPaperOrder) {
   const HostGenerator gen(paper_params());
   util::Rng rng(5);
   const auto hosts =
-      gen.generate_many(util::ModelDate::from_ymd(2010, 1, 1), 100, rng);
-  const auto comparisons = compare_resources(snapshot_from(hosts), hosts);
+      gen.generate_batch(util::ModelDate::from_ymd(2010, 1, 1), 100, rng);
+  const auto comparisons = compare_resources(columns_of(hosts), hosts);
   EXPECT_EQ(comparisons[0].name, "Cores");
   EXPECT_EQ(comparisons[1].name, "Memory (MB)");
   EXPECT_EQ(comparisons[4].name, "Avail Disk (GB)");
@@ -87,7 +72,7 @@ TEST(GeneratedCorrelationMatrix, MatchesTableVIIIShape) {
   const HostGenerator gen(paper_params());
   util::Rng rng(6);
   const auto hosts =
-      gen.generate_many(util::ModelDate::from_ymd(2010, 9, 1), 40000, rng);
+      gen.generate_batch(util::ModelDate::from_ymd(2010, 9, 1), 40000, rng);
   const stats::Matrix m = generated_correlation_matrix(hosts);
   ASSERT_EQ(m.rows(), 6u);
   // Table VIII's headline structure (see host_generator_test for why

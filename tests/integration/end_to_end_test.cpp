@@ -46,7 +46,7 @@ TEST(EndToEnd, FittedModelValidatesAgainstHeldOutDate) {
   ASSERT_GT(actual.size(), 1000u);
   util::Rng rng(1);
   const auto generated =
-      generator.generate_many(sep2010, actual.size(), rng);
+      generator.generate_batch(sep2010, actual.size(), rng);
   const auto comparisons = core::compare_resources(actual, generated);
   // The paper reports mean differences of 0.5%-13%; allow up to 20% per
   // resource on the synthetic loop.
@@ -59,7 +59,7 @@ TEST(EndToEnd, FittedModelValidatesAgainstHeldOutDate) {
 TEST(EndToEnd, GeneratedCorrelationsMatchTrace) {
   const core::HostGenerator generator(fitted().params);
   util::Rng rng(2);
-  const auto generated = generator.generate_many(
+  const auto generated = generator.generate_batch(
       util::ModelDate::from_ymd(2010, 9, 1), 30000, rng);
   const stats::Matrix gen_corr =
       core::generated_correlation_matrix(generated);

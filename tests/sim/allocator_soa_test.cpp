@@ -58,24 +58,6 @@ TEST(AllocatorSoA, MatchesReferenceOnTraceSnapshot) {
                     allocate_round_robin(apps, soa));
 }
 
-TEST(AllocatorSoA, AoSWrapperDelegatesToColumnarPath) {
-  const core::HostGenerator generator(core::paper_params());
-  util::Rng rng(3);
-  const HostResourcesSoA soa = HostResourcesSoA::from_batch(
-      generator.generate_batch(util::ModelDate::from_ymd(2008, 3, 1), 500,
-                               rng));
-  const std::vector<HostResources> aos = soa.to_hosts();
-
-  const auto apps = paper_applications();
-  const AllocationResult via_soa = allocate_round_robin(apps, soa);
-  const AllocationResult via_aos = allocate_round_robin(apps, aos);
-  EXPECT_EQ(via_soa.assignment, via_aos.assignment);
-  EXPECT_EQ(via_soa.hosts_assigned, via_aos.hosts_assigned);
-  for (std::size_t a = 0; a < apps.size(); ++a) {
-    EXPECT_DOUBLE_EQ(via_soa.total_utility[a], via_aos.total_utility[a]);
-  }
-}
-
 TEST(AllocatorSoA, TiesBreakByHostIndex) {
   // All hosts identical: every preference list degenerates to pure ties,
   // so the deterministic order is by host index and the round-robin turn

@@ -17,6 +17,13 @@ std::string temp_path(const std::string& name) {
   return ::testing::TempDir() + "/" + name;
 }
 
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::stringstream text;
+  text << in.rdbuf();
+  return text.str();
+}
+
 int run(const std::vector<std::string>& args, std::string* out_text = nullptr,
         std::string* err_text = nullptr) {
   std::ostringstream out, err;
@@ -354,13 +361,26 @@ TEST(Cli, FullPipelineSynthFitGenerateValidatePredict) {
   ASSERT_EQ(run({"generate", model_path, "2011-01-01", "200", hosts_path},
                 &out),
             kOk);
-  // Generated CSV: header + 200 rows.
+  // Generated CSV: the population format's header + 200 rows.
   std::ifstream hosts(hosts_path);
   ASSERT_TRUE(hosts.good());
   std::string line;
-  int lines = 0;
+  ASSERT_TRUE(std::getline(hosts, line));
+  EXPECT_EQ(line,
+            "cores,memory_per_core_mb,memory_mb,whetstone_mips,"
+            "dhrystone_mips,disk_avail_gb");
+  int lines = 1;
   while (std::getline(hosts, line)) ++lines;
   EXPECT_EQ(lines, 201);
+
+  // generate writes what pack reads: generate -> pack -> unpack gives
+  // back the generated file byte for byte.
+  const std::string snap_path = temp_path("cli_pipe_hosts.snap");
+  const std::string back_path = temp_path("cli_pipe_hosts_back.csv");
+  ASSERT_EQ(run({"pack", hosts_path, snap_path}, &out), kOk);
+  EXPECT_NE(out.find("packed 200 population hosts"), std::string::npos);
+  ASSERT_EQ(run({"unpack", snap_path, back_path}), kOk);
+  EXPECT_EQ(read_file(back_path), read_file(hosts_path));
 
   ASSERT_EQ(run({"predict", model_path, "2014"}, &out), kOk);
   EXPECT_NE(out.find("Mean cores"), std::string::npos);
@@ -537,11 +557,7 @@ TEST(Cli, PackUnpackTraceRoundTripsWithMatchingDigests) {
                 0, digest_block(unpack_out).find("unpacked")));
 
   // And the CSV itself round-trips byte-for-byte.
-  std::ifstream a(csv), b(back);
-  std::stringstream sa, sb;
-  sa << a.rdbuf();
-  sb << b.rdbuf();
-  EXPECT_EQ(sa.str(), sb.str());
+  EXPECT_EQ(read_file(back), read_file(csv));
 }
 
 TEST(Cli, PackGenerateThenDigestOnlyUnpack) {
@@ -589,8 +605,8 @@ TEST(Cli, UnpackPopulationCsvRePacksIdentically) {
                 &first),
             kOk);
   ASSERT_EQ(run({"unpack", snap1, csv}), kOk);
-  // Text CSV -> snapshot again: doubles survive because both CSV writers
-  // print with round-trip precision.
+  // Text CSV -> snapshot again: doubles survive because the population
+  // CSV prints them at round-trip precision.
   std::string second;
   ASSERT_EQ(run({"pack", csv, snap2, "--shard=512"}, &second), kOk);
   EXPECT_EQ(first.substr(first.find("column digests:")),

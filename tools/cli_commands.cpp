@@ -362,15 +362,27 @@ void save_model(const core::ModelParams& params, const std::string& path) {
   out << params.serialize();
 }
 
-void write_generated_csv(const core::GeneratedHostBatch& hosts,
-                         const std::string& path) {
+/// The population CSV that generate and unpack write and pack reads: the
+/// six GeneratedHostBatch columns, doubles at round-trip precision.
+const std::vector<std::string> kPopulationCsvHeader = {
+    "cores",          "memory_per_core_mb", "memory_mb",
+    "whetstone_mips", "dhrystone_mips",     "disk_avail_gb"};
+
+void write_population_csv(const core::GeneratedHostBatch& batch,
+                          const std::string& path) {
   std::ofstream out(path);
-  if (!out) throw std::runtime_error("cannot write hosts file: " + path);
-  out << "cores,memory_mb,whetstone_mips,dhrystone_mips,disk_avail_gb\n";
-  for (std::size_t i = 0; i < hosts.size(); ++i) {
-    out << hosts.n_cores[i] << ',' << hosts.memory_mb[i] << ','
-        << hosts.whetstone_mips[i] << ',' << hosts.dhrystone_mips[i] << ','
-        << hosts.disk_avail_gb[i] << '\n';
+  if (!out) throw std::runtime_error("cannot write population csv: " + path);
+  util::CsvWriter writer(out);
+  writer.write_row(kPopulationCsvHeader);
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    writer.write_row({
+        util::CsvWriter::field(static_cast<long long>(batch.n_cores[i])),
+        util::CsvWriter::field(batch.memory_per_core_mb[i]),
+        util::CsvWriter::field(batch.memory_mb[i]),
+        util::CsvWriter::field(batch.whetstone_mips[i]),
+        util::CsvWriter::field(batch.dhrystone_mips[i]),
+        util::CsvWriter::field(batch.disk_avail_gb[i]),
+    });
   }
 }
 
@@ -489,7 +501,7 @@ int run_generate(const CorrelationArgs& c, const Args& pos,
   util::Rng rng(0x7e57ab1e);
   const core::GeneratedHostBatch hosts =
       generator.generate_batch(date, count, rng);
-  write_generated_csv(hosts, pos[3]);
+  write_population_csv(hosts, pos[3]);
   out << "generated " << hosts.size() << " hosts ("
       << generator.correlation().name() << " correlation) for "
       << date.to_string() << " -> " << pos[3] << '\n';
@@ -949,28 +961,6 @@ void print_digests(std::ostream& out,
   }
 }
 
-/// The generated-population CSV round-trip format: all six SoA columns,
-/// doubles printed with round-trip precision (unlike the analysis export
-/// generate writes, which drops memory_per_core_mb and uses default
-/// precision).
-const std::vector<std::string> kPopulationCsvHeader = {
-    "cores",          "memory_per_core_mb", "memory_mb",
-    "whetstone_mips", "dhrystone_mips",     "disk_avail_gb"};
-
-void write_population_rows(const core::GeneratedHostBatch& batch,
-                           util::CsvWriter& writer) {
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    writer.write_row({
-        util::CsvWriter::field(static_cast<long long>(batch.n_cores[i])),
-        util::CsvWriter::field(batch.memory_per_core_mb[i]),
-        util::CsvWriter::field(batch.memory_mb[i]),
-        util::CsvWriter::field(batch.whetstone_mips[i]),
-        util::CsvWriter::field(batch.dhrystone_mips[i]),
-        util::CsvWriter::field(batch.disk_avail_gb[i]),
-    });
-  }
-}
-
 core::GeneratedHostBatch read_population_csv(const std::string& path) {
   std::ifstream in(path);
   if (!in) throw std::runtime_error("cannot open population csv: " + path);
@@ -1209,15 +1199,7 @@ int run_unpack(const UnpackArgs& a, const Args& pos, std::ostream& out) {
     if (snapshot.kind == store::kTraceKind) {
       trace::write_csv_file(store::unpack_trace(snapshot), csv_path);
     } else if (snapshot.kind == store::kPopulationKind) {
-      const core::GeneratedHostBatch batch =
-          store::unpack_population(snapshot);
-      std::ofstream csv(csv_path);
-      if (!csv) {
-        throw std::runtime_error("cannot write population csv: " + csv_path);
-      }
-      util::CsvWriter writer(csv);
-      writer.write_row(kPopulationCsvHeader);
-      write_population_rows(batch, writer);
+      write_population_csv(store::unpack_population(snapshot), csv_path);
     } else {
       throw std::runtime_error("unknown snapshot kind '" + snapshot.kind +
                                "'");

@@ -15,9 +15,13 @@ ignored entirely.
 Compares every benchmark present in BOTH files. By default the compared
 metrics are real_time plus every numeric per-benchmark counter the two
 entries share; --counters restricts the comparison to the named metrics
-only. A metric has REGRESSED when new > old * (1 + threshold) — all the
-exported metrics (times, swept blocks, resolved lanes, makespans) are
-higher-is-worse. Exit status: 0 clean, 1 regressions found, 2 usage /
+only. Rates — metrics whose names end in ``_per_second``, such as the
+items_per_second and bytes_per_second google-benchmark derives — are
+higher-is-better: one has REGRESSED when new < old / (1 + threshold).
+Every other exported metric (times, swept blocks, resolved lanes,
+makespans, outcome counters) is higher-is-worse and has REGRESSED when
+new > old * (1 + threshold). Either way, a metric recorded as 0 must
+stay exactly 0. Exit status: 0 clean, 1 regressions found, 2 usage /
 input error.
 
 CI note: wall times are only comparable on the same box. The Release CI
@@ -126,6 +130,20 @@ def resolve_baseline_dir(directory):
          "records at all")
 
 
+def higher_is_better(metric):
+    """Rates (``*_per_second``) improve upward; everything else downward."""
+    return metric.endswith("_per_second")
+
+
+def within_threshold(metric, old_value, new_value, threshold):
+    """True unless `new_value` is worse than `old_value` by > threshold."""
+    if old_value == 0:
+        return new_value == 0
+    if higher_is_better(metric):
+        return new_value >= old_value / (1.0 + threshold)
+    return new_value <= old_value * (1.0 + threshold)
+
+
 def numeric_metrics(entry):
     return {
         key: value
@@ -144,7 +162,7 @@ def main():
     parser.add_argument("new", help="candidate BENCH_*.json")
     parser.add_argument(
         "--threshold", type=float, default=0.10,
-        help="relative regression threshold (default 0.10 = +10%%)")
+        help="relative regression threshold (default 0.10 = 10%% worse)")
     parser.add_argument(
         "--counters", default=None,
         help="comma-separated metric names to compare (default: real_time "
@@ -186,12 +204,12 @@ def main():
             old_value = old_metrics[metric]
             new_value = new_metrics[metric]
             compared += 1
+            ok = within_threshold(metric, old_value, new_value,
+                                  args.threshold)
             if old_value == 0:
-                ok = new_value == 0
-                ratio = float("inf") if not ok else 1.0
+                ratio = 1.0 if ok else float("inf")
             else:
                 ratio = new_value / old_value
-                ok = new_value <= old_value * (1.0 + args.threshold)
             status = "ok" if ok else "REGRESSED"
             print(f"{name:60s} {metric:28s} {old_value:14.4f} -> "
                   f"{new_value:14.4f}  ({ratio:6.3f}x)  {status}")
@@ -208,13 +226,13 @@ def main():
         fail("no shared metrics to compare")
 
     if regressions:
-        print(f"\n{len(regressions)} regression(s) over "
-              f"+{args.threshold:.0%}:", file=sys.stderr)
+        print(f"\n{len(regressions)} regression(s) worse by over "
+              f"{args.threshold:.0%}:", file=sys.stderr)
         for name, metric, old_value, new_value in regressions:
             print(f"  {name} {metric}: {old_value:.4f} -> {new_value:.4f}",
                   file=sys.stderr)
         return 1
-    print(f"\nall {compared} compared metrics within +{args.threshold:.0%}")
+    print(f"\nall {compared} compared metrics within {args.threshold:.0%}")
     return 0
 
 
