@@ -1,12 +1,17 @@
 #include "engine/checkpoint.h"
 
+#include <algorithm>
 #include <array>
+#include <exception>
+#include <optional>
 #include <stdexcept>
+#include <thread>
 #include <utility>
 
 #include "engine/state_codec.h"
 #include "store/adapters.h"
 #include "store/snapshot.h"
+#include "util/parallel.h"
 
 namespace resmodel::engine {
 
@@ -95,7 +100,7 @@ void require_engine_kind(const store::SnapshotReader& reader,
 }
 
 /// Extracts the single shard_state blob of one snapshot shard.
-std::vector<std::byte> shard_blob(store::SnapshotReader& reader,
+std::vector<std::byte> shard_blob(const store::SnapshotReader& reader,
                                   std::uint64_t shard,
                                   const std::string& path) {
   store::Snapshot snap = reader.read_shard(shard);
@@ -125,7 +130,7 @@ std::string shard_name(std::uint64_t shard, std::uint32_t n_shards,
 void write_checkpoint(const std::string& path, const CheckpointMeta& meta,
                       std::span<const ClientShard> shards,
                       const QuorumCoordinator* coordinator,
-                      store::FileSystem* fs) {
+                      store::FileSystem* fs, int threads) {
   if (meta.replication.enabled != (coordinator != nullptr)) {
     throw std::logic_error(
         "write_checkpoint: coordinator must be present exactly when "
@@ -140,24 +145,49 @@ void write_checkpoint(const std::string& path, const CheckpointMeta& meta,
   opts.fs = fs;
   store::SnapshotWriter writer(path, store::kEngineStateKind,
                                store::engine_state_schema(), opts);
-  std::vector<std::byte> blob;
-  const auto append = [&writer, &blob] {
-    const std::array<std::span<const std::byte>, 1> cols{
-        std::span<const std::byte>(blob)};
-    writer.append_shard(cols, blob.size());
-    blob.clear();
+  // Blob b is the run header (0), ClientShard b-1, or the quorum state.
+  const std::size_t n_blobs = 1 + shards.size() + (coordinator ? 1 : 0);
+  const auto encode = [&](std::size_t b, std::vector<std::byte>& out) {
+    out.clear();
+    if (b == 0) {
+      encode_blob(out, [&](auto& io) { meta_fields(meta, io); });
+    } else if (b <= shards.size()) {
+      shards[b - 1].serialize_state(out);
+    } else {
+      coordinator->serialize_state(out);
+    }
   };
 
-  StateWriter header(blob);
-  meta_fields(meta, header);
-  append();
-  for (const ClientShard& shard : shards) {
-    shard.serialize_state(blob);
-    append();
-  }
-  if (coordinator) {
-    coordinator->serialize_state(blob);
-    append();
+  // Two blobs alive at most: while the calling thread appends blob b (the
+  // only thread that touches the file, in blob order, so byte-offset
+  // faults keep their meaning), a second thread encodes blob b+1. A blob
+  // takes longer to encode than to append, so the encoding thread spreads
+  // its column copies over every worker but the appending one.
+  const int workers = util::resolve_threads(threads);
+  const bool overlap = workers > 1;
+  std::array<std::vector<std::byte>, 2> blobs;
+  encode(0, blobs[0]);
+  for (std::size_t b = 0; b < n_blobs; ++b) {
+    std::exception_ptr encode_error;
+    const auto encode_next = [&]() noexcept {
+      if (b + 1 == n_blobs) return;
+      try {
+        const ColumnWorkers spread(overlap ? workers - 1 : 1);
+        encode(b + 1, blobs[(b + 1) % 2]);
+      } catch (...) {
+        encode_error = std::current_exception();
+      }
+    };
+    {
+      std::jthread encoder;
+      if (overlap) encoder = std::jthread(encode_next);
+      const std::vector<std::byte>& blob = blobs[b % 2];
+      const std::array<std::span<const std::byte>, 1> cols{
+          std::span<const std::byte>(blob)};
+      writer.append_shard(cols, blob.size());
+      if (!overlap) encode_next();
+    }
+    if (encode_error) std::rethrow_exception(encode_error);
   }
   writer.finish({{"engine.clients", std::to_string(meta.clients_total)},
                  {"engine.shards", std::to_string(meta.n_shards)},
@@ -177,14 +207,12 @@ CheckpointMeta read_checkpoint_meta(const std::string& path) {
   }
 }
 
-CheckpointState load_checkpoint(const std::string& path) {
+CheckpointState load_checkpoint(const std::string& path, int threads) {
   store::SnapshotReader reader(path);
   require_engine_kind(reader, path);
-
-  // Refusal pass: CRC-walk every block before reconstructing anything.
-  // A resume either starts from a bit-perfect checkpoint or not at all.
-  const store::SnapshotReader::VerifyResult vr = reader.verify();
-  if (!vr.report.footer_intact) {
+  if (!reader.footer_intact()) {
+    // The forward scan only counts what is left, for the message.
+    const store::SnapshotReader::VerifyResult vr = reader.verify();
     throw store::StoreError(
         store::StoreErrc::kFooterCorrupt, path,
         "checkpoint footer damaged — refusing resume (" +
@@ -192,29 +220,67 @@ CheckpointState load_checkpoint(const std::string& path) {
             std::to_string(vr.report.blocks_expected) +
             " blocks recoverable by forward scan)");
   }
-  if (!vr.report.complete) {
-    // Name the lost shards. The run header tells us which snapshot shard
-    // is the quorum state — when the header itself survived.
-    std::uint32_t n_shards = 0;
-    bool replication = false;
-    bool header_lost = false;
-    for (const store::LostBlock& lost : vr.report.lost) {
-      if (lost.shard == 0) header_lost = true;
-    }
-    if (!header_lost) {
+
+  // The run header first: it says what the other blobs are. Then every
+  // other block is read and CRC-checked once, on up to `threads` workers
+  // that each hold one blob, and a blob is decoded as soon as its own
+  // block has passed. Nothing is returned unless every block passed, and
+  // the refusals keep their order whatever the thread timing: every lost
+  // block, itemized by a verify walk, then the format mismatch of the
+  // lowest blob index.
+  const std::uint64_t n_blobs = reader.shard_count();
+  // What reading or decoding blob b threw. Slot 0 exists even in a file
+  // without shards: it holds that refusal.
+  std::vector<std::exception_ptr> errors(std::max<std::uint64_t>(n_blobs, 1));
+
+  CheckpointState state;
+  const CheckpointMeta& meta = state.meta;
+  bool header_ok = false;
+  try {
+    state.meta = parse_meta(shard_blob(reader, 0, path));
+    header_ok = true;
+  } catch (...) {
+    errors[0] = std::current_exception();
+  }
+  const std::uint64_t expected_blobs =
+      1ull + meta.n_shards + (meta.replication.enabled ? 1 : 0);
+  const bool decode = header_ok && n_blobs == expected_blobs;
+  std::vector<std::optional<ClientShard>> slots(decode ? meta.n_shards : 0);
+  if (n_blobs > 1) {
+    // Jobs run in claim order, last blob first: the quorum state, when
+    // there is one, is the slowest decode, so it must not start last.
+    util::parallel_for(n_blobs - 1, threads, [&](std::size_t job) {
+      const std::uint64_t b = n_blobs - 1 - job;
       try {
-        const CheckpointMeta meta = parse_meta(shard_blob(reader, 0, path));
-        n_shards = meta.n_shards;
-        replication = meta.replication.enabled;
+        const std::vector<std::byte> blob = shard_blob(reader, b, path);
+        if (!decode) return;
+        if (b <= meta.n_shards) {
+          slots[b - 1].emplace(meta.params, std::span<const std::byte>(blob));
+        } else {
+          state.coordinator = std::make_unique<QuorumCoordinator>(
+              meta.replication, meta.clients_total,
+              std::span<const std::byte>(blob));
+        }
       } catch (...) {
-        // Itemize generically; the damage report is what matters.
+        errors[b] = std::current_exception();
       }
-    }
+    });
+  }
+
+  const store::SnapshotReader::VerifyResult vr =
+      std::any_of(errors.begin(), errors.end(),
+                  [](const std::exception_ptr& e) { return e != nullptr; })
+          ? reader.verify()
+          : store::SnapshotReader::VerifyResult{};
+  if (!vr.report.complete) {
+    // Name the lost shards. The run header tells which snapshot shard is
+    // the quorum state — when the header itself survived.
     std::string lost_names;
-    for (const store::LostBlock& lost : vr.report.lost) {
+    for (const store::LostBlock& block : vr.report.lost) {
       if (!lost_names.empty()) lost_names += ", ";
-      lost_names += shard_name(lost.shard, n_shards, replication) + " (" +
-                    std::to_string(lost.rows) + " bytes)";
+      lost_names += shard_name(block.shard, header_ok ? meta.n_shards : 0,
+                               header_ok && meta.replication.enabled) +
+                    " (" + std::to_string(block.rows) + " bytes)";
     }
     throw store::StoreError(
         store::StoreErrc::kBlockCorrupt, path,
@@ -225,46 +291,38 @@ CheckpointState load_checkpoint(const std::string& path) {
   }
 
   try {
-    CheckpointState state;
-    state.meta = parse_meta(shard_blob(reader, 0, path));
-    const CheckpointMeta& meta = state.meta;
-
-    const std::uint64_t expected_shards =
-        1ull + meta.n_shards + (meta.replication.enabled ? 1 : 0);
-    if (reader.shard_count() != expected_shards) {
+    const auto rethrow = [&](std::uint64_t b) {
+      if (errors[b]) std::rethrow_exception(errors[b]);
+    };
+    rethrow(0);
+    if (!decode) {
       throw std::runtime_error(
-          "checkpoint has " + std::to_string(reader.shard_count()) +
+          "checkpoint has " + std::to_string(n_blobs) +
           " snapshot shards, run header implies " +
-          std::to_string(expected_shards));
+          std::to_string(expected_blobs));
     }
-
-    state.shards.reserve(meta.n_shards);
     std::uint64_t restored_clients = 0;
     for (std::uint32_t s = 0; s < meta.n_shards; ++s) {
-      const std::vector<std::byte> blob = shard_blob(reader, 1ull + s, path);
-      state.shards.emplace_back(meta.params,
-                                std::span<const std::byte>(blob));
-      restored_clients += state.shards.back().size();
+      rethrow(1ull + s);
+      restored_clients += slots[s]->size();
     }
     if (restored_clients != meta.clients_total) {
       throw std::runtime_error(
           "restored shards hold " + std::to_string(restored_clients) +
           " clients, run header says " + std::to_string(meta.clients_total));
     }
-    if (meta.replication.enabled) {
-      const std::vector<std::byte> blob =
-          shard_blob(reader, 1ull + meta.n_shards, path);
-      state.coordinator = std::make_unique<QuorumCoordinator>(
-          meta.replication, meta.clients_total,
-          std::span<const std::byte>(blob));
-    }
-    return state;
+    if (meta.replication.enabled) rethrow(1ull + meta.n_shards);
   } catch (const store::StoreError&) {
     throw;
   } catch (const std::runtime_error& e) {
     throw store::StoreError(store::StoreErrc::kSchemaMismatch, path,
                             e.what());
   }
+  state.shards.reserve(meta.n_shards);
+  for (std::optional<ClientShard>& slot : slots) {
+    state.shards.push_back(std::move(*slot));
+  }
+  return state;
 }
 
 }  // namespace resmodel::engine

@@ -21,10 +21,10 @@
 // produces bit-identical final counters, trace records and per-client
 // accounts to an uninterrupted run.
 //
-// load_checkpoint refuses damaged files: it verifies every block's
-// CRC32C first and throws a typed StoreError itemizing exactly which
-// shards were lost — a corrupted checkpoint can abort a resume, never
-// silently diverge it.
+// load_checkpoint refuses damaged files: it checks every block's CRC32C
+// once, returns nothing unless all of them pass, and throws a typed
+// StoreError itemizing exactly which shards were lost — a corrupted
+// checkpoint can abort a resume, never silently diverge it.
 #pragma once
 
 #include <cstdint>
@@ -71,20 +71,31 @@ struct CheckpointState {
 /// `coordinator` must be non-null iff meta.replication.enabled.
 /// `fs` substitutes the filesystem (store fault injection); nullptr uses
 /// the real one. Throws StoreError on any I/O failure — with the
-/// previous file at `path` untouched.
+/// previous file at `path` untouched. `threads` (<= 0: the hardware
+/// concurrency, util::resolve_threads) bounds the threads it uses: the
+/// calling thread appends the blobs in order while, from 2 threads on, a
+/// second one encodes the next blob over the other `threads - 1`, so at
+/// most two blobs are alive. 1 runs everything on the calling thread.
+/// The file's bytes do not depend on `threads`.
 void write_checkpoint(const std::string& path, const CheckpointMeta& meta,
                       std::span<const ClientShard> shards,
                       const QuorumCoordinator* coordinator,
-                      store::FileSystem* fs = nullptr);
+                      store::FileSystem* fs = nullptr, int threads = 0);
 
 /// Reads only the run header (cheap: one shard). Used by the CLI to
 /// print the resumed run's provenance line.
 CheckpointMeta read_checkpoint_meta(const std::string& path);
 
-/// Verifies every block, then reconstructs the shards and coordinator.
-/// Throws StoreError: kSchemaMismatch for a wrong kind/format,
-/// kFooterCorrupt / kBlockCorrupt with an itemized lost-shard list for a
-/// damaged file ("refusing resume; lost: engine shard 3, ...").
-CheckpointState load_checkpoint(const std::string& path);
+/// Reconstructs the shards and coordinator. The run header is parsed
+/// first; then every other block is read and CRC-checked once, on up to
+/// `threads` workers (<= 0: the hardware concurrency) that each hold one
+/// blob, and a shard is decoded as soon as its own block has passed.
+/// Returns only if every block passed. Throws StoreError, in this order:
+/// kSchemaMismatch for a snapshot of another kind, kFooterCorrupt for a
+/// damaged footer, kBlockCorrupt with every lost block itemized
+/// ("refusing resume; lost 1 of 10 blocks: engine shard 3 (… bytes)"),
+/// then kSchemaMismatch for a blob in the wrong format (the lowest blob
+/// index first), so no message depends on thread timing.
+CheckpointState load_checkpoint(const std::string& path, int threads = 0);
 
 }  // namespace resmodel::engine

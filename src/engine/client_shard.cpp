@@ -146,8 +146,7 @@ void ClientShard::serialize_state(std::vector<std::byte>& out) const {
   for (const EventHeap& tile : tiles_) {
     for (const Event& ev : tile.entries()) in_heap[ev.client] = 1;
   }
-  StateWriter w(out);
-  state_fields(*this, w, in_heap);
+  encode_blob(out, [&](auto& io) { state_fields(*this, io, in_heap); });
 }
 
 ClientShard::ClientShard(const ShardParams& params,

@@ -107,8 +107,8 @@ void QuorumCoordinator::check_restored() const {
 }
 
 void QuorumCoordinator::serialize_state(std::vector<std::byte>& out) const {
-  StateWriter w(out);
-  state_fields(*this, w, fifos_.size());
+  encode_blob(out,
+              [&](auto& io) { state_fields(*this, io, fifos_.size()); });
 }
 
 std::uint32_t QuorumCoordinator::pop_unit(std::uint32_t client) {

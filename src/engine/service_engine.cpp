@@ -111,7 +111,7 @@ EngineResult run_service_engine(const EngineConfig& config) {
     // The checkpoint's run header carries the whole behavioural config;
     // population-shape fields of `config` are ignored by contract (the
     // CLI rejects the conflicting flags outright).
-    CheckpointState state = load_checkpoint(config.resume_path);
+    CheckpointState state = load_checkpoint(config.resume_path, config.threads);
     meta = state.meta;
     shards = std::move(state.shards);
     coordinator = std::move(state.coordinator);
@@ -223,7 +223,7 @@ EngineResult run_service_engine(const EngineConfig& config) {
           fs = &*faulty;
         }
         write_checkpoint(config.checkpoint_path, meta, shards,
-                         coordinator.get(), fs);
+                         coordinator.get(), fs, config.threads);
         ++result.checkpoints_written;
       }
       if (stop_here) {

@@ -1,7 +1,11 @@
 #include "store/snapshot.h"
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <bit>
-#include <cstdio>
+#include <cerrno>
 #include <cstring>
 #include <limits>
 #include <utility>
@@ -109,6 +113,14 @@ bool host_is_little_endian() {
   return std::endian::native == std::endian::little;
 }
 
+/// payload_bytes == rows * dtype_size(dtype), tested by division so a
+/// crafted row count cannot wrap the product onto a small payload.
+bool payload_matches_rows(std::uint64_t payload_bytes, std::uint64_t rows,
+                          DType dtype) {
+  const std::uint64_t width = dtype_size(dtype);
+  return payload_bytes % width == 0 && payload_bytes / width == rows;
+}
+
 }  // namespace
 
 const Column* Snapshot::find(std::string_view name) const noexcept {
@@ -204,8 +216,14 @@ void SnapshotWriter::append_shard(
     const auto header = encode_block_header(static_cast<std::uint32_t>(i),
                                             shards_, rows,
                                             columns[i].size());
-    std::uint32_t crc = util::crc32c(header.data(), header.size());
-    crc = util::crc32c(columns[i].data(), columns[i].size(), crc);
+    // One pass over the payload: the block CRC (header, then payload)
+    // and the column digest (earlier shards, then payload) both extend
+    // by the same bytes, so each is derived from the payload's own CRC.
+    const std::uint32_t payload_crc =
+        util::crc32c(columns[i].data(), columns[i].size());
+    const std::uint32_t crc =
+        util::crc32c_combine(util::crc32c(header.data(), header.size()),
+                             payload_crc, columns[i].size());
 
     BlockRecord rec;
     rec.column = static_cast<std::uint32_t>(i);
@@ -225,8 +243,8 @@ void SnapshotWriter::append_shard(
     file_.append(tail.bytes.data(), tail.bytes.size());
 
     blocks_.push_back(rec);
-    digests_[i] = util::crc32c(columns[i].data(), columns[i].size(),
-                               digests_[i]);
+    digests_[i] =
+        util::crc32c_combine(digests_[i], payload_crc, columns[i].size());
   }
   rows_ += rows;
   ++shards_;
@@ -305,33 +323,42 @@ void write_snapshot_file(const std::string& path, const Snapshot& snapshot,
 // ---- reader ----------------------------------------------------------
 
 SnapshotReader::SnapshotReader(std::string path) : path_(std::move(path)) {
-  file_ = std::fopen(path_.c_str(), "rb");
-  if (!file_) {
+  fd_ = ::open(path_.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd_ < 0) {
     throw StoreError(StoreErrc::kCannotOpen, path_,
                      "cannot open snapshot for reading");
   }
-  if (std::fseek(file_, 0, SEEK_END) != 0) {
-    throw StoreError(StoreErrc::kIoError, path_, "seek failed");
+  struct stat st {};
+  if (::fstat(fd_, &st) != 0 || st.st_size < 0) {
+    ::close(fd_);
+    throw StoreError(StoreErrc::kIoError, path_, "stat failed");
   }
-  const long end = std::ftell(file_);
-  if (end < 0) {
-    throw StoreError(StoreErrc::kIoError, path_, "tell failed");
+  file_bytes_ = static_cast<std::uint64_t>(st.st_size);
+  try {
+    load_header();
+    probe_footer();
+  } catch (...) {
+    ::close(fd_);
+    throw;
   }
-  file_bytes_ = static_cast<std::uint64_t>(end);
-  load_header();
-  probe_footer();
 }
 
-SnapshotReader::~SnapshotReader() {
-  if (file_) std::fclose(file_);
-}
+SnapshotReader::~SnapshotReader() { ::close(fd_); }
 
-bool SnapshotReader::read_at(std::uint64_t offset, void* out, std::size_t n) {
-  if (offset + n > file_bytes_) return false;
-  if (std::fseek(file_, static_cast<long>(offset), SEEK_SET) != 0) {
-    return false;
+bool SnapshotReader::read_at(std::uint64_t offset, void* out,
+                             std::size_t n) const {
+  if (offset > file_bytes_ || n > file_bytes_ - offset) return false;
+  auto* p = static_cast<char*>(out);
+  while (n > 0) {
+    const ::ssize_t got =
+        ::pread(fd_, p, n, static_cast<::off_t>(offset));
+    if (got < 0 && errno == EINTR) continue;
+    if (got <= 0) return false;
+    p += got;
+    offset += static_cast<std::uint64_t>(got);
+    n -= static_cast<std::size_t>(got);
   }
-  return std::fread(out, 1, n, file_) == n;
+  return true;
 }
 
 void SnapshotReader::load_header() {
@@ -431,8 +458,9 @@ void SnapshotReader::probe_footer() {
         "trailer magic missing: file truncated or never finished";
     return;
   }
-  if (footer_offset < data_begin_ ||
-      footer_offset + footer_len + kTrailerBytes != file_bytes_) {
+  if (footer_offset < data_begin_ || footer_offset > file_bytes_ ||
+      file_bytes_ - footer_offset !=
+          std::uint64_t{footer_len} + kTrailerBytes) {
     footer_errc_ = StoreErrc::kFooterCorrupt;
     footer_detail_ = "trailer frame inconsistent with file size";
     return;
@@ -455,6 +483,10 @@ void SnapshotReader::probe_footer() {
   const std::uint32_t metadata_count = r.u32();
   std::vector<BlockRef> blocks;
   blocks.reserve(block_count);
+  // Every bound below is written so that no crafted field can wrap it:
+  // a block's frame must fit between the header and the footer, and its
+  // rows must match its payload and add up to the footer's total.
+  std::vector<std::uint64_t> column_rows(schema_.size(), 0);
   bool sane = r.ok() && metadata_count <= kMaxMetadataEntries;
   for (std::uint32_t i = 0; sane && i < block_count; ++i) {
     BlockRef b;
@@ -464,12 +496,19 @@ void SnapshotReader::probe_footer() {
     b.rows = r.u64();
     b.payload_bytes = r.u64();
     b.crc = r.u32();
+    constexpr std::uint64_t kFrame = kBlockHeaderBytes + 8;
     sane = r.ok() && b.column < schema_.size() && b.shard < shards &&
-           b.offset >= data_begin_ &&
-           b.offset + kBlockHeaderBytes + b.payload_bytes + 8 <=
-               footer_offset &&
-           b.payload_bytes == b.rows * dtype_size(schema_[b.column].dtype);
+           b.offset >= data_begin_ && b.offset <= footer_offset &&
+           footer_offset - b.offset >= kFrame &&
+           b.payload_bytes <= footer_offset - b.offset - kFrame &&
+           payload_matches_rows(b.payload_bytes, b.rows,
+                                schema_[b.column].dtype) &&
+           b.rows <= rows - column_rows[b.column];
+    if (sane) column_rows[b.column] += b.rows;
     blocks.push_back(b);
+  }
+  for (std::size_t c = 0; sane && c < schema_.size(); ++c) {
+    sane = column_rows[c] == rows;
   }
   std::vector<std::pair<std::string, std::string>> metadata;
   for (std::uint32_t i = 0; sane && i < metadata_count; ++i) {
@@ -513,12 +552,15 @@ std::vector<std::pair<std::string, std::string>> SnapshotReader::metadata()
 }
 
 bool SnapshotReader::block_payload(const BlockRef& ref,
-                                   std::vector<std::byte>& out) {
+                                   std::vector<std::byte>& out,
+                                   std::uint32_t& payload_crc) const {
   std::byte header[kBlockHeaderBytes];
   if (!read_at(ref.offset, header, sizeof header)) return false;
   const auto expected = encode_block_header(ref.column, ref.shard, ref.rows,
                                             ref.payload_bytes);
   if (std::memcmp(header, expected.data(), sizeof header) != 0) return false;
+  // The header matched the bounds-checked footer entry (or the scan's
+  // own bounds), so the payload fits in the file and its size is sane.
   out.resize(ref.payload_bytes);
   if (ref.payload_bytes > 0 &&
       !read_at(ref.offset + kBlockHeaderBytes, out.data(),
@@ -534,12 +576,13 @@ bool SnapshotReader::block_payload(const BlockRef& ref,
   const std::uint32_t stored = t.u32();
   const std::uint32_t complement = t.u32();
   if (complement != ~stored) return false;
-  std::uint32_t crc = util::crc32c(header, sizeof header);
-  crc = util::crc32c(out.data(), out.size(), crc);
+  payload_crc = util::crc32c(out.data(), out.size());
+  const std::uint32_t crc = util::crc32c_combine(
+      util::crc32c(header, sizeof header), payload_crc, out.size());
   return crc == stored && crc == ref.crc;
 }
 
-Snapshot SnapshotReader::read_all() {
+Snapshot SnapshotReader::read_all() const {
   if (!footer_intact_) {
     throw StoreError(footer_errc_, path_, footer_detail_);
   }
@@ -555,8 +598,9 @@ Snapshot SnapshotReader::read_all() {
     snap.columns[i].data.resize(rows_ * dtype_size(schema_[i].dtype));
   }
   std::vector<std::byte> payload;
+  std::uint32_t payload_crc = 0;
   for (const BlockRef& b : blocks_) {
-    if (!block_payload(b, payload)) {
+    if (!block_payload(b, payload, payload_crc)) {
       throw StoreError(StoreErrc::kBlockCorrupt, path_,
                        "column '" + schema_[b.column].name + "' shard " +
                            std::to_string(b.shard) +
@@ -582,7 +626,7 @@ Snapshot SnapshotReader::read_all() {
   return snap;
 }
 
-Snapshot SnapshotReader::read_shard(std::uint64_t shard) {
+Snapshot SnapshotReader::read_shard(std::uint64_t shard) const {
   if (!footer_intact_) {
     throw StoreError(footer_errc_, path_, footer_detail_);
   }
@@ -599,7 +643,8 @@ Snapshot SnapshotReader::read_shard(std::uint64_t shard) {
   for (const BlockRef& b : blocks_) {
     if (b.shard != shard) continue;
     std::vector<std::byte> payload;
-    if (!block_payload(b, payload)) {
+    std::uint32_t payload_crc = 0;
+    if (!block_payload(b, payload, payload_crc)) {
       throw StoreError(StoreErrc::kBlockCorrupt, path_,
                        "column '" + schema_[b.column].name + "' shard " +
                            std::to_string(b.shard) +
@@ -624,7 +669,7 @@ Snapshot SnapshotReader::read_shard(std::uint64_t shard) {
 }
 
 std::vector<SnapshotReader::BlockRef> SnapshotReader::scan_blocks(
-    ReadReport& report) {
+    ReadReport& report) const {
   // Footerless fallback: blocks were written sequentially from the end
   // of the header, each self-delimiting. Walk forward while everything
   // checks out; the first inconsistent header or failed checksum ends
@@ -636,7 +681,11 @@ std::vector<SnapshotReader::BlockRef> SnapshotReader::scan_blocks(
   std::uint32_t expected_column = 0;
   std::uint64_t shard_rows = 0;
   std::vector<std::byte> payload;
-  while (offset + kBlockHeaderBytes + 8 <= file_bytes_) {
+  std::uint32_t payload_crc = 0;
+  constexpr std::uint64_t kFrame = kBlockHeaderBytes + 8;
+  // offset never passes file_bytes_: it only advances over whole blocks
+  // that were bounds-checked against the bytes left.
+  while (file_bytes_ - offset >= kFrame) {
     std::byte header[kBlockHeaderBytes];
     if (!read_at(offset, header, sizeof header)) break;
     BufReader h{header, sizeof header};
@@ -649,14 +698,12 @@ std::vector<SnapshotReader::BlockRef> SnapshotReader::scan_blocks(
     b.offset = offset;
     if (magic != kBlockMagic || b.column != expected_column ||
         b.shard != expected_shard || b.rows == 0 ||
-        b.payload_bytes !=
-            b.rows * dtype_size(schema_[b.column].dtype) ||
+        !payload_matches_rows(b.payload_bytes, b.rows,
+                              schema_[b.column].dtype) ||
         (b.column > 0 && b.rows != shard_rows)) {
       break;
     }
-    if (offset + kBlockHeaderBytes + b.payload_bytes + 8 > file_bytes_) {
-      break;
-    }
+    if (b.payload_bytes > file_bytes_ - offset - kFrame) break;
     std::byte tail[8];
     if (!read_at(offset + kBlockHeaderBytes + b.payload_bytes, tail, 8)) {
       break;
@@ -665,7 +712,7 @@ std::vector<SnapshotReader::BlockRef> SnapshotReader::scan_blocks(
     b.crc = t.u32();
     const std::uint32_t complement = t.u32();
     if (complement != ~b.crc) break;
-    if (!block_payload(b, payload)) break;
+    if (!block_payload(b, payload, payload_crc)) break;
     if (b.column == 0) shard_rows = b.rows;
     recovered.push_back(b);
     offset += kBlockHeaderBytes + b.payload_bytes + 8;
@@ -689,7 +736,7 @@ std::vector<SnapshotReader::BlockRef> SnapshotReader::scan_blocks(
   return recovered;
 }
 
-Snapshot SnapshotReader::read_recovering(ReadReport& report) {
+Snapshot SnapshotReader::read_recovering(ReadReport& report) const {
   report = ReadReport{};
   report.footer_intact = footer_intact_;
 
@@ -727,6 +774,7 @@ Snapshot SnapshotReader::read_recovering(ReadReport& report) {
 
   std::vector<std::uint64_t> write_offsets(schema_.size(), 0);
   std::vector<std::byte> payload;
+  std::uint32_t payload_crc = 0;
   for (const BlockRef& b : blocks) {
     Column& col = snap.columns[b.column];
     const std::uint64_t at = write_offsets[b.column];
@@ -740,7 +788,7 @@ Snapshot SnapshotReader::read_recovering(ReadReport& report) {
       report.rows_lost += b.rows;
       continue;
     }
-    if (block_payload(b, payload)) {
+    if (block_payload(b, payload, payload_crc)) {
       std::memcpy(col.data.data() + at, payload.data(), payload.size());
       ++report.blocks_loaded;
     } else {
@@ -756,7 +804,7 @@ Snapshot SnapshotReader::read_recovering(ReadReport& report) {
   return snap;
 }
 
-SnapshotReader::VerifyResult SnapshotReader::verify() {
+SnapshotReader::VerifyResult SnapshotReader::verify() const {
   VerifyResult result;
   result.report.footer_intact = footer_intact_;
   result.column_digests.assign(schema_.size(), 0);
@@ -777,11 +825,12 @@ SnapshotReader::VerifyResult SnapshotReader::verify() {
   }
 
   std::vector<std::byte> payload;
+  std::uint32_t payload_crc = 0;
   for (const BlockRef& b : blocks) {
-    if (block_payload(b, payload)) {
+    if (block_payload(b, payload, payload_crc)) {
       ++result.report.blocks_loaded;
-      result.column_digests[b.column] = util::crc32c(
-          payload.data(), payload.size(), result.column_digests[b.column]);
+      result.column_digests[b.column] = util::crc32c_combine(
+          result.column_digests[b.column], payload_crc, payload.size());
     } else {
       result.report.complete = false;
       result.report.lost.push_back({b.column, b.shard, b.rows,

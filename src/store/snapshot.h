@@ -163,7 +163,12 @@ void write_snapshot_file(const std::string& path, const Snapshot& snapshot,
 /// throws typed StoreErrors for an unopenable file or a damaged header,
 /// but a damaged/absent footer is NOT fatal to construction — strict
 /// reads will then throw kFooterCorrupt/kTruncated while
-/// read_recovering() falls back to a forward block scan.
+/// read_recovering() falls back to a forward block scan. Every read goes
+/// through pread(2) and changes no member, so the const methods are safe
+/// to call from several threads at once (engine/checkpoint reads its
+/// shards in parallel). Each block's payload is read once and checksummed
+/// once: the block CRC and the column digest are both derived from the
+/// payload's own CRC with util::crc32c_combine.
 class SnapshotReader {
  public:
   explicit SnapshotReader(std::string path);
@@ -183,16 +188,16 @@ class SnapshotReader {
   std::vector<std::pair<std::string, std::string>> metadata() const;
 
   /// Strict whole-file read: any damage throws a typed StoreError.
-  Snapshot read_all();
+  Snapshot read_all() const;
 
   /// Strict single-shard read (bounded-RSS streaming). Requires an
   /// intact footer.
-  Snapshot read_shard(std::uint64_t shard);
+  Snapshot read_shard(std::uint64_t shard) const;
 
   /// Graceful degradation: loads every intact block, zero-fills and
   /// itemizes the rest. Only throws for faults outside the recovery
   /// contract (the file vanishing mid-read).
-  Snapshot read_recovering(ReadReport& report);
+  Snapshot read_recovering(ReadReport& report) const;
 
   /// Checksum walk of every block without materializing columns.
   /// `column_digests[i]` is the chained payload CRC32C of column i —
@@ -203,7 +208,7 @@ class SnapshotReader {
     std::vector<std::uint32_t> column_digests;
     std::vector<bool> column_intact;
   };
-  VerifyResult verify();
+  VerifyResult verify() const;
 
  private:
   struct BlockRef {
@@ -218,12 +223,15 @@ class SnapshotReader {
   void load_header();
   void probe_footer();
   /// Footerless fallback: walk blocks forward from the header, CRC each.
-  std::vector<BlockRef> scan_blocks(ReadReport& report);
-  bool read_at(std::uint64_t offset, void* out, std::size_t n);
-  bool block_payload(const BlockRef& ref, std::vector<std::byte>& out);
+  std::vector<BlockRef> scan_blocks(ReadReport& report) const;
+  /// n bytes at offset; false if they are not all in the file.
+  bool read_at(std::uint64_t offset, void* out, std::size_t n) const;
+  /// Reads and checks one block; `payload_crc` is CRC32C of the payload.
+  bool block_payload(const BlockRef& ref, std::vector<std::byte>& out,
+                     std::uint32_t& payload_crc) const;
 
   std::string path_;
-  std::FILE* file_ = nullptr;
+  int fd_ = -1;
   std::uint64_t file_bytes_ = 0;
   std::uint64_t data_begin_ = 0;  ///< first byte after the header frame
 

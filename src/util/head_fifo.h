@@ -28,6 +28,10 @@ class HeadFifo {
 
   void push_back(const T& value) { entries_.push_back(value); }
 
+  /// Room for n more entries without regrowth (a checkpoint restore
+  /// knows each FIFO's length before it refills it).
+  void reserve(std::size_t n) { entries_.reserve(entries_.size() + n); }
+
   /// Drops the oldest entry. Call only while !empty().
   void pop_front() noexcept {
     if (++head_ == entries_.size()) {

@@ -21,6 +21,7 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <fstream>
 #include <span>
 #include <sstream>
@@ -29,6 +30,7 @@
 
 #include "engine/service_engine.h"
 #include "store/fault_injection.h"
+#include "store/format.h"
 #include "store/snapshot.h"
 #include "util/checksum.h"
 #include "util/model_date.h"
@@ -484,6 +486,81 @@ TEST(EngineCheckpoint, BitFlipRefusedWithItemizedLostShards) {
           << "intact shard must load bit-identically";
     }
     offset += blobs[s].size();
+  }
+}
+
+/// The middle payload byte of snapshot shard `shard`'s block, found
+/// through the footer (engine_state.v1 has one column, so one block per
+/// snapshot shard). Footer: u64 rows, u64 shards, u32 blocks, u32
+/// metadata entries, then 40 bytes per block: u32 column, u64 shard, u64
+/// offset, u64 rows, u64 payload bytes, u32 crc. The trailer's first u64
+/// is the footer's offset.
+std::uint64_t mid_payload(const std::string& bytes, std::uint64_t shard) {
+  const auto u64_at = [&](std::size_t at) {
+    std::uint64_t v = 0;
+    std::memcpy(&v, bytes.data() + at, 8);
+    return v;
+  };
+  const std::uint64_t footer = u64_at(bytes.size() - store::kTrailerBytes);
+  std::uint32_t blocks = 0;
+  std::memcpy(&blocks, bytes.data() + footer + 16, 4);
+  for (std::uint32_t i = 0; i < blocks; ++i) {
+    const std::size_t entry = footer + 24 + 40 * std::size_t{i};
+    if (u64_at(entry + 4) == shard) {
+      return u64_at(entry + 12) + store::kBlockHeaderBytes +
+             u64_at(entry + 28) / 2;
+    }
+  }
+  ADD_FAILURE() << "no block for snapshot shard " << shard;
+  return 0;
+}
+
+/// Flips one payload byte of snapshot shard `shard`'s block, then requires
+/// a one-thread and a four-thread load to refuse it with the same message,
+/// naming `name` as the only lost shard.
+void expect_refused_naming(const std::string& path, std::uint64_t shard,
+                           const std::string& name) {
+  std::string bytes = read_file(path);
+  bytes[mid_payload(bytes, shard)] ^= 0x10;
+  std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
+
+  std::vector<std::string> messages;
+  for (const int threads : {1, 4}) {
+    try {
+      load_checkpoint(path, threads);
+      ADD_FAILURE() << "threads " << threads << ": damage not refused";
+    } catch (const store::StoreError& e) {
+      EXPECT_EQ(e.errc(), store::StoreErrc::kBlockCorrupt);
+      messages.push_back(e.what());
+    }
+  }
+  ASSERT_EQ(messages.size(), 2u);
+  EXPECT_EQ(messages[0], messages[1]);
+  EXPECT_NE(messages[0].find("lost 1 of 10 blocks: " + name + " ("),
+            std::string::npos)
+      << messages[0];
+}
+
+TEST(EngineCheckpoint, DamagedShardBlockIsNamedAloneOnAnyThreadCount) {
+  expect_refused_naming(publish_checkpoint(8, "flip_shard4.snap"),
+                        /*shard=*/5, "engine shard 4");
+}
+
+TEST(EngineCheckpoint, DamagedQuorumBlockIsNamedAloneOnAnyThreadCount) {
+  expect_refused_naming(publish_checkpoint(8, "flip_quorum.snap"),
+                        /*shard=*/9, "quorum state");
+}
+
+TEST(EngineCheckpoint, WriteIsByteIdenticalOnAnyThreadCount) {
+  const std::string path = publish_checkpoint(8, "threads_src.snap");
+  const CheckpointState state = load_checkpoint(path);
+  for (const int threads : {1, 2, 4}) {
+    SCOPED_TRACE(::testing::Message() << "threads " << threads);
+    const std::string out =
+        temp_path("threads_" + std::to_string(threads) + ".snap");
+    write_checkpoint(out, state.meta, state.shards, state.coordinator.get(),
+                     nullptr, threads);
+    EXPECT_EQ(read_file(out), read_file(path));
   }
 }
 

@@ -5,8 +5,11 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <vector>
 
+#include "engine/checkpoint.h"
+#include "store/adapters.h"
 #include "store/format.h"
 #include "util/checksum.h"
 
@@ -137,6 +140,42 @@ TEST(Snapshot, WriterDigestsMatchReaderVerify) {
   all_x.insert(all_x.end(), fx.x1.begin(), fx.x1.end());
   EXPECT_EQ(v.column_digests[0],
             util::crc32c(all_x.data(), all_x.size() * sizeof(double)));
+}
+
+TEST(Snapshot, DigestsEqualADirectCrcOverEachColumnsPayload) {
+  // Shards of 1, 2500 and 7000 rows put single blocks on both sides of
+  // the three-chain CRC threshold. The writer and verify() both derive
+  // the digest by combining per-block CRCs, so they are held to one
+  // direct CRC over the concatenated payload, not only to each other.
+  const std::string path = temp_path("digest_direct.snap");
+  std::vector<double> all_x;
+  std::vector<std::int32_t> all_y;
+  std::vector<std::uint32_t> writer_digests;
+  {
+    SnapshotWriter writer(path, "test.v1", Fixture().schema());
+    for (const std::size_t rows : {1u, 2500u, 7000u}) {
+      std::vector<double> x(rows);
+      std::vector<std::int32_t> y(rows);
+      for (std::size_t i = 0; i < rows; ++i) {
+        x[i] = 0.5 * static_cast<double>(all_x.size() + i) - 7.0;
+        y[i] = static_cast<std::int32_t>((all_y.size() + i) * 2654435761u);
+      }
+      const std::vector<std::span<const std::byte>> cols = {bytes_of(x),
+                                                            bytes_of(y)};
+      writer.append_shard(cols, rows);
+      all_x.insert(all_x.end(), x.begin(), x.end());
+      all_y.insert(all_y.end(), y.begin(), y.end());
+    }
+    writer.finish();
+    writer_digests = writer.column_digests();
+  }
+  const std::vector<std::uint32_t> direct = {
+      util::crc32c(all_x.data(), all_x.size() * sizeof(double)),
+      util::crc32c(all_y.data(), all_y.size() * sizeof(std::int32_t))};
+  EXPECT_EQ(writer_digests, direct);
+  const SnapshotReader::VerifyResult v = SnapshotReader(path).verify();
+  EXPECT_TRUE(v.report.complete);
+  EXPECT_EQ(v.column_digests, direct);
 }
 
 TEST(Snapshot, EmptySnapshotRoundTrips) {
@@ -304,6 +343,104 @@ TEST(SnapshotFooter, MetadataThrowsTypedErrorWhenFooterLost) {
                 e.errc() == StoreErrc::kFooterCorrupt)
         << to_string(e.errc());
   }
+}
+
+// --- footer entries whose bounds would wrap around 2^64 -------------------
+
+std::uint64_t get_u64(const std::vector<unsigned char>& b, std::size_t at) {
+  std::uint64_t v = 0;
+  std::memcpy(&v, b.data() + at, 8);
+  return v;
+}
+
+void put_u64(std::vector<unsigned char>& b, std::size_t at, std::uint64_t v) {
+  std::memcpy(b.data() + at, &v, 8);
+}
+
+/// Footer: u64 rows, u64 shards, u32 blocks, u32 metadata entries, then
+/// per block u32 column, u64 shard, u64 offset, u64 rows, u64 payload.
+std::size_t first_footer_entry(const std::vector<unsigned char>& b) {
+  return get_u64(b, b.size() - kTrailerBytes) + 24;
+}
+
+/// The payload length at which the first block's frame end,
+/// offset + 32 + payload + 8, wraps to exactly 2^64.
+std::uint64_t wrapping_payload(const std::string& path) {
+  const std::vector<unsigned char> b = slurp(path);
+  return 0 - (get_u64(b, first_footer_entry(b) + 12) + kBlockHeaderBytes + 8);
+}
+
+/// Rewrites the first block's row and payload counts, in its footer entry
+/// and in its block header, and the footer's total rows; then recomputes
+/// the footer CRC so that only the bounds checks stand between the file
+/// and a reader.
+void craft_first_block(const std::string& path, std::uint64_t rows,
+                       std::uint64_t payload_bytes) {
+  std::vector<unsigned char> b = slurp(path);
+  const std::size_t trailer = b.size() - kTrailerBytes;
+  const std::size_t footer = get_u64(b, trailer);
+  std::uint32_t footer_len = 0;
+  std::memcpy(&footer_len, b.data() + trailer + 8, 4);
+  const std::size_t entry = first_footer_entry(b);
+  const std::uint64_t offset = get_u64(b, entry + 12);
+  put_u64(b, footer, rows);
+  put_u64(b, entry + 20, rows);
+  put_u64(b, entry + 28, payload_bytes);
+  // Block header: u32 magic, u32 column, u64 shard, u64 rows, u64 payload.
+  put_u64(b, offset + 16, rows);
+  put_u64(b, offset + 24, payload_bytes);
+  const std::uint32_t crc = util::crc32c(b.data() + footer, footer_len);
+  std::memcpy(b.data() + trailer + 12, &crc, 4);
+  spit(path, b);
+}
+
+/// A one-column, one-shard snapshot of `payload` bytes of `dtype`.
+void write_one_block(const std::string& path, const char* kind, DType dtype,
+                     std::size_t payload) {
+  const std::vector<std::byte> bytes(payload, std::byte{0x5a});
+  SnapshotWriter writer(path, kind, {{"c", dtype}});
+  const std::vector<std::span<const std::byte>> cols = {bytes};
+  writer.append_shard(cols, payload / dtype_size(dtype));
+  writer.finish();
+}
+
+void expect_footer_refused(const std::string& path) {
+  const SnapshotReader reader(path);
+  EXPECT_FALSE(reader.footer_intact());
+  try {
+    (void)reader.read_all();
+    ADD_FAILURE() << "read_all accepted a wrapping block";
+  } catch (const StoreError& e) {
+    EXPECT_EQ(e.errc(), StoreErrc::kFooterCorrupt) << e.what();
+  }
+  EXPECT_FALSE(reader.verify().report.footer_intact);
+}
+
+TEST(SnapshotFooter, RefusesBlockBoundsThatWrapAround2To64) {
+  // rows = payload = 2^64 - (offset + 40): the frame end wraps to 0,
+  // which passes an unguarded "<= footer offset".
+  const std::string path = temp_path("wrap_bound.snap");
+  write_one_block(path, "test.v1", DType::kU8, 16);
+  const std::uint64_t wrapped = wrapping_payload(path);
+  craft_first_block(path, wrapped, wrapped);
+  expect_footer_refused(path);
+}
+
+TEST(SnapshotFooter, RefusesRowCountsWhoseByteSizeWraps) {
+  // 2^61 + 2 rows of u64 are 2^64 + 16 bytes: an unguarded
+  // rows * dtype_size says 16, which is what the block holds.
+  const std::string path = temp_path("wrap_rows.snap");
+  write_one_block(path, "test.v1", DType::kU64, 16);
+  craft_first_block(path, (std::uint64_t{1} << 61) + 2, 16);
+  expect_footer_refused(path);
+}
+
+TEST(SnapshotFooter, CheckpointLoadRefusesAWrappingBlockTyped) {
+  const std::string path = temp_path("wrap_engine.snap");
+  write_one_block(path, kEngineStateKind, DType::kU8, 16);
+  const std::uint64_t wrapped = wrapping_payload(path);
+  craft_first_block(path, wrapped, wrapped);
+  EXPECT_THROW(engine::load_checkpoint(path), StoreError);
 }
 
 TEST(Snapshot, MissingFileThrowsCannotOpen) {
